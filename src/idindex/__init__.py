@@ -25,7 +25,6 @@ from .strings_codes import (
     code_table,
     first_collision,
     is_distinguishing,
-    is_id_coloring,
     string_table,
 )
 from .structure import (
@@ -43,15 +42,11 @@ from .solvers import (
     Partition,
     SearchLimits,
     certificate_ranks,
-    geometric_pool,
     greedy_upper_bound,
     id_index_exact,
-    id_index_oracle,
     id_number_exact,
-    pair_profiles,
     partition_distinguishes,
     partition_of_ranks,
-    restricted_growth_strings,
     to_restricted_growth,
 )
 from .constructions import (
@@ -81,7 +76,6 @@ __all__ = [
     "code_table",
     "first_collision",
     "is_distinguishing",
-    "is_id_coloring",
     "string_table",
     "DistanceProfile",
     "TupletClass",
@@ -95,15 +89,11 @@ __all__ = [
     "Partition",
     "SearchLimits",
     "certificate_ranks",
-    "geometric_pool",
     "greedy_upper_bound",
     "id_index_exact",
-    "id_index_oracle",
     "id_number_exact",
-    "pair_profiles",
     "partition_distinguishes",
     "partition_of_ranks",
-    "restricted_growth_strings",
     "to_restricted_growth",
     "affine_transform",
     "coloring_to_ranks",

@@ -10,7 +10,8 @@ Subcommands::
     sweep      family range or random batch vs expected values, as CSV
 
 Exit codes: 0 success, 2 usage or input error, 3 search budget exhausted,
-4 internal invariant violation, 5 sweep found a mismatch.
+4 internal invariant violation or other internal error, 5 sweep found a
+mismatch.
 
 Output is deterministic by default (the sweep millis column reports 0;
 pass --deterministic=false for wall-clock numbers, which breaks
@@ -37,13 +38,18 @@ from .constructions import (
     construct_assignment,
     expected_id_index,
 )
-from .families import FamilySpec, InvalidSpecError, generate, parse_family_spec
-from .graphs import Graph, GraphError, all_pairs_distances, build_graph, is_connected, parse_edge_list
+from .families import (
+    FamilySpec,
+    InvalidSpecError,
+    generate,
+    parse_family_spec,
+    random_connected_graph,
+)
+from .graphs import Graph, GraphError, all_pairs_distances, parse_edge_list
 from .solvers import (
     BudgetExceededError,
     InternalInvariantError,
     SearchLimits,
-    TooLargeError,
     greedy_upper_bound,
     id_index_exact,
     id_number_exact,
@@ -60,7 +66,6 @@ from .strings_codes import (
 from .structure import (
     InvalidMultiplicitiesError,
     distance_profile,
-    idi_lower_bound,
     tuplet_classes,
 )
 
@@ -78,31 +83,10 @@ _INPUT_ERRORS = (
     MissingRankError,
     NoRedVertexError,
     InvalidMultiplicitiesError,
-    TooLargeError,
     _UsageError,
     ValueError,
     OSError,
 )
-
-
-def random_connected_graph(n: int, rng: random.Random, edge_prob: float = 0.5) -> Graph:
-    """Seeded G(n, p) sample, made connected by adding absent edges."""
-    edges = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < edge_prob:
-                edges.add((u, v))
-    g = build_graph(n, edges)
-    while not is_connected(g):
-        absent = sorted(
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) not in edges
-        )
-        edges.add(rng.choice(absent))
-        g = build_graph(n, edges)
-    return g
 
 
 def _load_graph(args) -> tuple[Graph, FamilySpec | None]:
@@ -116,8 +100,19 @@ def _load_graph(args) -> tuple[Graph, FamilySpec | None]:
     raise _UsageError("need --family or --input")
 
 
+def _node_budget(text: str) -> int:
+    """argparse type for --budget-nodes: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _limits(args) -> SearchLimits:
-    if getattr(args, "budget_nodes", None):
+    if args.budget_nodes is not None:
         return SearchLimits(max_nodes=args.budget_nodes)
     return SearchLimits()
 
@@ -215,7 +210,7 @@ def _cmd_analyze(args) -> int:
             "n": g.n,
             "diameter": dm.diameter,
             "T": tc.max_size,
-            "idi_lower_bound": max(tc.max_size, 1),
+            "idi_lower_bound": tc.max_size,
             "tuplet_classes": [
                 {"members": list(c.members), "kind": c.kind} for c in tc.classes
             ],
@@ -348,12 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_graph_source(p):
         p.add_argument("--family", help="family spec, e.g. path:7 or grid:3x4")
         p.add_argument("--input", help="edge-list file (u v per line, # comments)")
-        p.add_argument(
-            "--format",
-            choices=["edgelist"],
-            default="edgelist",
-            help="input file format (only edgelist)",
-        )
         p.add_argument("--json", help="write the JSON report here instead of stdout")
         p.add_argument(
             "--deterministic",
@@ -369,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id-number", action="store_true", help="minimum red-set search")
     p.add_argument("--heuristic", action="store_true", help="greedy upper bound")
     p.add_argument("--seed", type=int, default=0, help="seed for --heuristic splits")
-    p.add_argument("--budget-nodes", type=int, help="partition-search node budget")
+    p.add_argument(
+        "--budget-nodes", type=_node_budget, help="partition-search node budget (>= 1)"
+    )
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify", help="check an assignment or coloring")
@@ -398,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", type=int, help="last parameter value")
     p.add_argument("--random", help="random batch: n=..,count=..[,seed=..]")
     p.add_argument("--csv", help="write the CSV here instead of stdout")
-    p.add_argument("--budget-nodes", type=int, help="partition-search node budget")
+    p.add_argument(
+        "--budget-nodes", type=_node_budget, help="partition-search node budget (>= 1)"
+    )
     p.add_argument(
         "--deterministic",
         nargs="?",
@@ -429,6 +422,9 @@ def run(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # RecursionError, MemoryError, any other defect
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -18,9 +18,10 @@ re-derive the numbering conventions.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, build_graph, is_connected
 
 
 class InvalidSpecError(Exception):
@@ -172,6 +173,26 @@ def generate(spec: FamilySpec) -> tuple[Graph, VertexLayout]:
     """Build the graph and per-vertex role tags for a validated spec."""
     _validated(spec)
     return _GENERATORS[spec.kind](spec)
+
+
+def random_connected_graph(n: int, rng: random.Random, edge_prob: float = 0.5) -> Graph:
+    """Seeded G(n, p) sample, made connected by adding absent edges."""
+    edges = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < edge_prob:
+                edges.add((u, v))
+    g = build_graph(n, edges)
+    while not is_connected(g):
+        absent = sorted(
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (u, v) not in edges
+        )
+        edges.add(rng.choice(absent))
+        g = build_graph(n, edges)
+    return g
 
 
 def _path(spec):

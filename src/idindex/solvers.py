@@ -21,10 +21,6 @@ lexicographic order (depth-first over vertices ``0..n-1``), pruned by
   search maintains the running count differences and kills a branch as
   soon as the last vertex able to separate a pair is placed while all
   differences are zero.
-
-``id_index_oracle`` is an intentionally naive cross-check that enumerates
-rank assignments directly and tests string tables, sharing none of the
-pruning logic above.
 """
 
 from __future__ import annotations
@@ -61,18 +57,6 @@ class BudgetExceededError(Exception):
         self.nodes = nodes
 
 
-class TooLargeError(Exception):
-    def __init__(self, n, limit):
-        super().__init__(f"graph has {n} vertices, oracle limit is {limit}")
-        self.n = n
-        self.limit = limit
-
-
-class NoDistinguishingAssignmentError(Exception):
-    """The oracle pool admits no identifying assignment (cannot happen with
-    the full geometric pool on a connected graph)."""
-
-
 class InternalInvariantError(Exception):
     """A solver result failed its own re-verification."""
 
@@ -83,7 +67,6 @@ class SearchLimits:
 
     max_nodes: int = 10_000_000
     id_number_max_n: int = 22
-    oracle_max_n: int = 8
 
 
 @dataclass(frozen=True)
@@ -126,60 +109,17 @@ def partition_of_ranks(f: RankAssignment) -> Partition:
     return to_restricted_growth(f.ranks)
 
 
-def restricted_growth_strings(n: int, k: int):
-    """Yield all restricted-growth strings of length n with exactly k
-    classes, in lexicographic order."""
-    s = [0] * n
-
-    def rec(i, used):
-        if i == n:
-            if used == k:
-                yield tuple(s)
-            return
-        if used + (n - i) < k:
-            return
-        lo = used if used + (n - i) == k else 0
-        hi = used if used < k else k - 1
-        for c in range(lo, hi + 1):
-            s[i] = c
-            yield from rec(i + 1, used + 1 if c == used else used)
-
-    yield from rec(0, 0)
-
-
-@dataclass(frozen=True)
-class PairProfile:
-    """Class counts by distance for one vertex: ``counts[i-1][c]`` is the
-    number of class-``c`` vertices at distance ``i``."""
-
-    counts: tuple[tuple[int, ...], ...]
-
-
-def pair_profiles(dm: DistanceMatrix, p: Partition) -> list[PairProfile]:
-    n = len(dm.dist)
-    if len(p.assignment) != n:
-        raise ValueError(f"partition of {len(p.assignment)} vertices on n={n}")
-    d = dm.diameter
-    out = []
-    for v in range(n):
-        rows = [[0] * p.k for _ in range(d)]
-        dv = dm.dist[v]
-        for w in range(n):
-            i = dv[w]
-            if i > 0:
-                rows[i - 1][p.assignment[w]] += 1
-        out.append(PairProfile(tuple(tuple(r) for r in rows)))
-    return out
-
-
 def partition_distinguishes(dm: DistanceMatrix, p: Partition):
     """Whether the partition separates every vertex pair by counts.
 
-    Returns ``(True, None)`` or ``(False, (u, v))`` with the
-    lexicographically smallest colliding pair.
+    By the reduction above, this holds exactly when the geometric
+    certificate ranks identify the graph.  Returns ``(True, None)`` or
+    ``(False, (u, v))`` with the lexicographically smallest colliding pair.
     """
-    profiles = pair_profiles(dm, p)
-    pair = first_collision([pr.counts for pr in profiles])
+    n = len(dm.dist)
+    if len(p.assignment) != n:
+        raise ValueError(f"partition of {len(p.assignment)} vertices on n={n}")
+    pair = first_collision(string_table(dm, certificate_ranks(p)))
     return (pair is None), pair
 
 
@@ -262,12 +202,8 @@ class _PairWatcher:
             [u for u in range(v) if class_of[u] == class_of[v]] for v in range(n)
         ]
 
-        count_vec = []
-        for v in range(n):
-            row = [0] * (self.diam + 1)
-            for w in range(n):
-                row[dist[v][w]] += 1
-            count_vec.append(tuple(row))
+        # with every rank 1, a vertex's string counts the vertices on each sphere
+        count_vec = string_table(dm, RankAssignment((1,) * n))
 
         self.updates = [[] for _ in range(n)]
         self.finalize_at = [[] for _ in range(n)]
@@ -413,7 +349,7 @@ def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCerti
             note="by convention",
         )
     tc = tuplet_classes(g)
-    lower = max(tc.max_size, 1)
+    lower = tc.max_size
     watcher = _PairWatcher(g, dm, tc)
     total_nodes = 0
     prev_level_nodes = 0
@@ -453,36 +389,6 @@ def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCerti
             )
         prev_level_nodes = nodes
     raise InternalInvariantError("no identifying partition up to k = n")
-
-
-def id_index_oracle(g: Graph, pool, limits: SearchLimits | None = None) -> int:
-    """Baseline minimum over direct rank assignments from ``pool``.
-
-    Enumerates assignments up to renaming of the values (restricted-growth
-    over pool positions, classes taking pool values in first-use order) and
-    tests string tables directly.  With the geometric pool
-    ``[(n+1)^0, ..., (n+1)^(n-1)]`` this equals ``id_index_exact(g).k``.
-    """
-    limits = limits or SearchLimits()
-    if g.n > limits.oracle_max_n:
-        raise TooLargeError(g.n, limits.oracle_max_n)
-    pool = list(pool)
-    if len(set(pool)) != len(pool):
-        raise ValueError("pool values must be distinct")
-    dm = all_pairs_distances(g)
-    for k in range(1, min(g.n, len(pool)) + 1):
-        for rgs in restricted_growth_strings(g.n, k):
-            ranks = RankAssignment(tuple(pool[c] for c in rgs))
-            if is_distinguishing(string_table(dm, ranks)):
-                return k
-    raise NoDistinguishingAssignmentError(
-        f"pool {pool!r} admits no identifying assignment"
-    )
-
-
-def geometric_pool(n: int) -> list[int]:
-    """The full oracle pool for an n-vertex graph: powers of n+1."""
-    return [(n + 1) ** c for c in range(n)]
 
 
 def id_number_exact(g: Graph, limits: SearchLimits | None = None) -> IdNumberResult:
@@ -527,8 +433,11 @@ def greedy_upper_bound(g: Graph, seed: int = 0) -> tuple[int, IdIndexCertificate
             labels[v] = j
     p = to_restricted_growth(labels)
     while True:
-        ok, pair = partition_distinguishes(dm, p)
-        if ok:
+        # the last pass verifies the returned certificate's own strings
+        ranks = certificate_ranks(p)
+        strings = string_table(dm, ranks)
+        pair = first_collision(strings)
+        if pair is None:
             break
         u, v = pair
         sizes = [p.assignment.count(p.assignment[x]) for x in (u, v)]
@@ -539,16 +448,12 @@ def greedy_upper_bound(g: Graph, seed: int = 0) -> tuple[int, IdIndexCertificate
         labels = list(p.assignment)
         labels[pick] = p.k  # fresh class
         p = to_restricted_growth(labels)
-    ranks = certificate_ranks(p)
-    strings = string_table(dm, ranks)
-    if not is_distinguishing(strings):
-        raise InternalInvariantError("greedy witness fails string re-verification")
     cert = IdIndexCertificate(
         k=p.k,
         partition=p,
         ranks=ranks,
         strings=strings,
-        lower_bound=max(tc.max_size, 1),
+        lower_bound=tc.max_size,
         infeasibility=None,
         nodes_searched=0,
     )

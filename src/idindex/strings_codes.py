@@ -107,11 +107,6 @@ def is_distinguishing(table) -> bool:
     return first_collision(table) is None
 
 
-def is_id_coloring(table) -> bool:
-    """True when all rows of a code table are pairwise distinct."""
-    return first_collision(table) is None
-
-
 # serialization: rank values can exceed any fixed-width integer, so JSON
 # carries them as decimal strings
 

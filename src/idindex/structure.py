@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import Graph, DistanceMatrix
+from .strings_codes import RankAssignment, string_table
 
 
 class InvalidMultiplicitiesError(Exception):
@@ -86,7 +87,7 @@ def tuplet_classes(g: Graph) -> TupletClasses:
 
 def idi_lower_bound(g: Graph) -> int:
     """Largest twin class size (at least 1)."""
-    return max(tuplet_classes(g).max_size, 1)
+    return tuplet_classes(g).max_size
 
 
 @dataclass(frozen=True)
@@ -105,21 +106,9 @@ class DistanceProfile:
 
 
 def distance_profile(dm: DistanceMatrix) -> DistanceProfile:
-    n = len(dm.dist)
-    d = dm.diameter
-    shared = None
-    for v in range(n):
-        row = [0] * d
-        for w in range(n):
-            i = dm.dist[v][w]
-            if i > 0:
-                row[i - 1] += 1
-        row = tuple(row)
-        if shared is None:
-            shared = row
-        elif shared != row:
-            return DistanceProfile(None)
-    return DistanceProfile(shared)
+    # with every rank 1, a vertex's string counts the vertices on each sphere
+    rows = set(string_table(dm, RankAssignment((1,) * len(dm.dist))))
+    return DistanceProfile(rows.pop() if len(rows) == 1 else None)
 
 
 def multipartite_binomial_bound(multiplicities: dict[int, int]) -> int:

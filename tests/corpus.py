@@ -1,13 +1,18 @@
 """Shared test corpus: exhaustive small graphs, seeded random graphs, and
-independent oracles the implementation must agree with."""
+independent oracles the implementation must agree with.
+
+The oracles live here, not in the library: they are reference
+implementations the tests compare the solvers against.
+"""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from idindex import Graph, build_graph, is_connected
-from idindex.cli import random_connected_graph
+from idindex import Graph, RankAssignment, build_graph, is_connected
+from idindex import all_pairs_distances, first_collision, is_distinguishing, string_table
+from idindex.families import random_connected_graph
 
 # master seed for the reproducible random corpus used across test modules
 CORPUS_SEED = 20250817
@@ -58,3 +63,86 @@ def floyd_warshall(g: Graph):
                 if row_u[v] is None or via < row_u[v]:
                     row_u[v] = via
     return dist
+
+
+class TooLargeError(Exception):
+    def __init__(self, n, limit):
+        super().__init__(f"graph has {n} vertices, oracle limit is {limit}")
+        self.n = n
+        self.limit = limit
+
+
+class NoDistinguishingAssignmentError(Exception):
+    """The oracle pool admits no identifying assignment (cannot happen with
+    the full geometric pool on a connected graph)."""
+
+
+def restricted_growth_strings(n: int, k: int):
+    """Yield all restricted-growth strings of length n with exactly k
+    classes, in lexicographic order."""
+    s = [0] * n
+
+    def rec(i, used):
+        if i == n:
+            if used == k:
+                yield tuple(s)
+            return
+        if used + (n - i) < k:
+            return
+        lo = used if used + (n - i) == k else 0
+        hi = used if used < k else k - 1
+        for c in range(lo, hi + 1):
+            s[i] = c
+            yield from rec(i + 1, used + 1 if c == used else used)
+
+    yield from rec(0, 0)
+
+
+def id_index_oracle(g: Graph, pool, max_n: int = 8) -> int:
+    """Baseline minimum over direct rank assignments from ``pool``.
+
+    Enumerates assignments up to renaming of the values (restricted-growth
+    over pool positions, classes taking pool values in first-use order) and
+    tests string tables directly, sharing none of the solver's pruning.
+    With the geometric pool ``[(n+1)^0, ..., (n+1)^(n-1)]`` this equals
+    ``id_index_exact(g).k``.
+    """
+    if g.n > max_n:
+        raise TooLargeError(g.n, max_n)
+    pool = list(pool)
+    if len(set(pool)) != len(pool):
+        raise ValueError("pool values must be distinct")
+    dm = all_pairs_distances(g)
+    for k in range(1, min(g.n, len(pool)) + 1):
+        for rgs in restricted_growth_strings(g.n, k):
+            ranks = RankAssignment(tuple(pool[c] for c in rgs))
+            if is_distinguishing(string_table(dm, ranks)):
+                return k
+    raise NoDistinguishingAssignmentError(
+        f"pool {pool!r} admits no identifying assignment"
+    )
+
+
+def geometric_pool(n: int) -> list[int]:
+    """The full oracle pool for an n-vertex graph: powers of n+1."""
+    return [(n + 1) ** c for c in range(n)]
+
+
+def reference_partition_distinguishes(dm, p):
+    """``partition_distinguishes`` from the per-class sphere counts directly.
+
+    Vertex ``v``'s row holds, for each distance ``i`` and class ``c``, the
+    number of class-``c`` vertices at distance ``i`` from ``v``; the library
+    instead compares the strings of the geometric certificate ranks.
+    """
+    n = len(dm.dist)
+    table = []
+    for v in range(n):
+        rows = [[0] * p.k for _ in range(dm.diameter)]
+        for w in range(n):
+            i = dm.dist[v][w]
+            if i > 0:
+                rows[i - 1][p.assignment[w]] += 1
+        table.append(tuple(tuple(r) for r in rows))
+    pair = first_collision(table)
+    return (pair is None), pair

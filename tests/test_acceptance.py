@@ -20,14 +20,9 @@ from idindex.constructions import (
     affine_transform,
     universal_assignment,
 )
-from idindex.families import FamilySpec, generate
+from idindex.families import FamilySpec, generate, random_connected_graph
 from idindex.graphs import all_pairs_distances
-from idindex.solvers import (
-    geometric_pool,
-    id_index_exact,
-    id_index_oracle,
-    id_number_exact,
-)
+from idindex.solvers import id_index_exact, id_number_exact
 from idindex.strings_codes import (
     RankAssignment,
     RedWhiteColoring,
@@ -37,7 +32,13 @@ from idindex.strings_codes import (
 )
 from idindex.structure import distance_profile, tuplet_classes
 
-from corpus import CORPUS_SEED, connected_corpus_up_to, random_corpus
+from corpus import (
+    CORPUS_SEED,
+    connected_corpus_up_to,
+    geometric_pool,
+    id_index_oracle,
+    random_corpus,
+)
 
 
 def criterion(num, slug):
@@ -237,7 +238,7 @@ def test_criterion_8_construction_sweep():
 
     rng = random.Random(CORPUS_SEED + 8)
     for n in list(range(1, 13)) * 2:
-        g = cli.random_connected_graph(n, rng)
+        g = random_connected_graph(n, rng)
         f = universal_assignment(g.n)
         assert f.distinct_rank_count == g.n
         assert is_distinguishing(string_table(all_pairs_distances(g), f))

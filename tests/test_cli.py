@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import idindex.cli as cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +66,27 @@ class TestCompute:
         assert obj["k_upper"] >= obj["lower_bound"]
         assert len(obj["ranks"]) == 12
 
+    @pytest.mark.parametrize(
+        "name,source,seed",
+        [
+            (f"{name}_seed{seed}", ("--family", spec), seed)
+            for name, spec in [
+                ("prism6", "prism:6"),
+                ("petersen", "petersen"),
+                ("grid4x5", "grid:4x5"),
+                ("caterpillar", "caterpillar:2,4,2,2,4,2"),
+            ]
+            for seed in ("0", "3")
+        ]
+        + [("random12_seed3", ("--input", str(GOLDEN / "random12_seed3.txt")), "3")],
+    )
+    def test_heuristic_matches_golden(self, capsys, name, source, seed):
+        # golden files hold the output of the per-class count implementation
+        code, out, err = run_cli(capsys, "compute", *source, "--heuristic",
+                                 "--seed", seed)
+        assert code == 0, err
+        assert out == (GOLDEN / f"heuristic_{name}.json").read_text()
+
     def test_json_file_output(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"
         code, out, _ = run_cli(
@@ -76,6 +100,29 @@ class TestCompute:
             capsys, "compute", "--family", "prism:5", "--budget-nodes", "5"
         )
         assert code == 3 and "budget:" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "many"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, budget):
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "petersen", "--budget-nodes", budget
+        )
+        assert code == 2 and out == ""
+        assert "--budget-nodes" in err
+
+    def test_deep_search_prints_no_traceback(self, capsys):
+        # a search deeper than the interpreter's recursion limit
+        code, _, err = run_cli(capsys, "compute", "--family", "path:1100")
+        assert code in (0, 4)
+        assert "Traceback" not in err
+
+    def test_stray_solver_error_is_internal(self, capsys, monkeypatch):
+        def broken(g, limits):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "id_index_exact", broken)
+        code, out, err = run_cli(capsys, "compute", "--family", "path:3")
+        assert code == 4 and out == ""
+        assert err == "internal error: RuntimeError: boom\n"
 
     def test_id_number_size_budget(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--family", "path:23",
@@ -247,6 +294,15 @@ class TestSweep:
             "--budget-nodes", "5",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, budget):
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--family", "cycle", "--from", "3", "--to", "4",
+            "--budget-nodes", budget,
+        )
+        assert code == 2 and out == ""
 
     @pytest.mark.parametrize(
         "argv",

@@ -13,8 +13,7 @@ from idindex.graphs import (
     is_connected,
     parse_edge_list,
 )
-from idindex.families import FamilySpec, generate
-from idindex.cli import random_connected_graph
+from idindex.families import FamilySpec, generate, random_connected_graph
 
 from corpus import all_connected_graphs, floyd_warshall
 

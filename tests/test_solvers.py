@@ -9,26 +9,29 @@ from idindex.families import generate, parse_family_spec
 from idindex.graphs import all_pairs_distances, build_graph
 from idindex.solvers import (
     BudgetExceededError,
-    NoDistinguishingAssignmentError,
     Partition,
     SearchLimits,
-    TooLargeError,
     certificate_ranks,
-    geometric_pool,
     greedy_upper_bound,
     id_index_exact,
-    id_index_oracle,
     id_number_exact,
-    pair_profiles,
     partition_distinguishes,
     partition_of_ranks,
-    restricted_growth_strings,
     to_restricted_growth,
 )
 from idindex.strings_codes import RankAssignment, is_distinguishing, string_table
 from idindex.structure import tuplet_classes
 
-from corpus import all_connected_graphs, random_connected_graph
+from corpus import (
+    NoDistinguishingAssignmentError,
+    TooLargeError,
+    all_connected_graphs,
+    geometric_pool,
+    id_index_oracle,
+    random_connected_graph,
+    reference_partition_distinguishes,
+    restricted_growth_strings,
+)
 
 
 def graph_for(text):
@@ -105,10 +108,6 @@ class TestRestrictedGrowthStrings:
 class TestPartitionDistinguishes:
     def test_path3_two_classes(self):
         dm = all_pairs_distances(graph_for("path:3"))
-        profiles = pair_profiles(dm, Partition((0, 0, 1), 2))
-        assert profiles[0].counts == ((1, 0), (0, 1))
-        assert profiles[1].counts == ((1, 1), (0, 0))
-        assert profiles[2].counts == ((1, 0), (1, 0))
         assert partition_distinguishes(dm, Partition((0, 0, 1), 2)) == (True, None)
 
     def test_triangle_needs_singletons(self):
@@ -134,7 +133,7 @@ class TestPartitionDistinguishes:
     def test_size_mismatch_rejected(self):
         dm = all_pairs_distances(graph_for("path:3"))
         with pytest.raises(ValueError):
-            pair_profiles(dm, Partition((0, 1), 2))
+            partition_distinguishes(dm, Partition((0, 1), 2))
 
 
 class TestCertificateRanks:
@@ -150,16 +149,20 @@ class TestCertificateRanks:
 
 class TestReduction:
     def test_partition_feasibility_equals_certificate_ranks_exhaustive(self):
-        # up to n=4: every partition of every connected graph
-        for n in range(1, 5):
+        # up to n=5: every partition of every connected graph gets the same
+        # verdict and lex-least colliding pair from the certificate-rank
+        # strings as from the per-class sphere counts
+        checked = 0
+        for n in range(1, 6):
             for g in all_connected_graphs(n):
                 dm = all_pairs_distances(g)
                 for k in range(1, n + 1):
                     for rgs in restricted_growth_strings(n, k):
                         p = Partition(rgs, k)
-                        ok, _ = partition_distinguishes(dm, p)
-                        table = string_table(dm, certificate_ranks(p))
-                        assert ok == is_distinguishing(table)
+                        expected = reference_partition_distinguishes(dm, p)
+                        assert partition_distinguishes(dm, p) == expected
+                        checked += 1
+        assert checked == 38_449
 
     @settings(derandomize=True, max_examples=60)
     @given(
@@ -276,9 +279,7 @@ class TestIdIndexOracle:
             id_index_oracle(graph_for("path:9"), geometric_pool(9))
 
     def test_limit_is_configurable(self):
-        k = id_index_oracle(
-            graph_for("path:9"), geometric_pool(9), SearchLimits(oracle_max_n=9)
-        )
+        k = id_index_oracle(graph_for("path:9"), geometric_pool(9), max_n=9)
         assert k == 2
 
     def test_rejects_duplicate_pool(self):

@@ -15,7 +15,6 @@ from idindex.strings_codes import (
     code_table,
     first_collision,
     is_distinguishing,
-    is_id_coloring,
     rank_assignment_from_json,
     rank_assignment_to_json,
     string_table,
@@ -87,7 +86,7 @@ class TestCodeTable:
         g, dm = dm_for("path:3")
         table = code_table(dm, RedWhiteColoring(3, frozenset({0})))
         assert table == [(0, 0), (1, 0), (0, 1)]
-        assert is_id_coloring(table)
+        assert is_distinguishing(table)
 
     def test_indicator_matches_string_route(self):
         g, dm = dm_for("prism:4")
@@ -111,7 +110,7 @@ class TestCodeTable:
         g, dm = dm_for("cycle:4")
         for mask in range(1, 16):
             red = frozenset(v for v in range(4) if mask >> v & 1)
-            assert not is_id_coloring(code_table(dm, RedWhiteColoring(4, red)))
+            assert not is_distinguishing(code_table(dm, RedWhiteColoring(4, red)))
 
 
 class TestSerialization:
