@@ -13,10 +13,8 @@ Exit codes: 0 success, 2 usage or input error, 3 search budget exhausted,
 4 internal invariant violation or other internal error, 5 sweep found a
 mismatch.
 
-Output is deterministic by default (the sweep millis column reports 0;
-pass --deterministic=false for wall-clock numbers, which breaks
-byte-reproducibility; the search itself is single-lane and deterministic
-either way).
+Output is deterministic by default; sweep --deterministic=false fills the
+millis column with wall-clock numbers (the search stays deterministic).
 Random sweep graphs use seeded Erdos-Renyi edge sampling with p = 1/2,
 repaired to connectivity by adding uniformly random absent edges; the seed
 is echoed in a CSV header comment so runs can be replayed.
@@ -289,8 +287,6 @@ def _cmd_sweep(args) -> int:
         started = time.perf_counter()
         cert = id_index_exact(g, limits)
         millis = int((time.perf_counter() - started) * 1000) if timing else 0
-        dm = all_pairs_distances(g)
-        tc = tuplet_classes(g)
         expected = expected_id_index(spec) if spec is not None else None
         if expected is None:
             match = ""
@@ -304,8 +300,8 @@ def _cmd_sweep(args) -> int:
                 family,
                 params,
                 str(g.n),
-                str(dm.diameter),
-                str(tc.max_size),
+                str(len(cert.strings[0])),  # the diameter
+                str(cert.lower_bound),  # T: the largest twin class
                 str(cert.lower_bound),
                 str(cert.k),
                 "" if expected is None else str(expected),
@@ -344,14 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", help="family spec, e.g. path:7 or grid:3x4")
         p.add_argument("--input", help="edge-list file (u v per line, # comments)")
         p.add_argument("--json", help="write the JSON report here instead of stdout")
-        p.add_argument(
-            "--deterministic",
-            nargs="?",
-            const="true",
-            default="true",
-            choices=["true", "false"],
-            help="reproducible output (default true); false fills wall-clock fields",
-        )
 
     p = sub.add_parser("compute", help="exact search (or --id-number / --heuristic)")
     add_graph_source(p)
@@ -359,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", action="store_true", help="greedy upper bound")
     p.add_argument("--seed", type=int, default=0, help="seed for --heuristic splits")
     p.add_argument(
-        "--budget-nodes", type=_node_budget, help="partition-search node budget (>= 1)"
+        "--budget-nodes", type=_node_budget, help="search node budget (>= 1)"
     )
     p.set_defaults(func=_cmd_compute)
 
@@ -390,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", help="random batch: n=..,count=..[,seed=..]")
     p.add_argument("--csv", help="write the CSV here instead of stdout")
     p.add_argument(
-        "--budget-nodes", type=_node_budget, help="partition-search node budget (>= 1)"
+        "--budget-nodes", type=_node_budget, help="search node budget (>= 1)"
     )
     p.add_argument(
         "--deterministic",

@@ -10,13 +10,15 @@ the coordinates base-(n+1) encodings of those counts, realizing every
 count difference as a string difference.  Minimizing distinct rank values
 therefore reduces to finding the smallest ``k`` for which some ``k``-class
 partition separates all count pairs, with the geometric ranks as an
-explicit integer witness.
+explicit integer witness.  A red set asks the same with one counted class.
 
-``id_index_exact`` enumerates partitions as restricted-growth strings in
-lexicographic order (depth-first over vertices ``0..n-1``), pruned by
+One kernel, ``_PairWatcher``, labels vertices ``0..n-1`` depth-first with
+an explicit stack for both exact searches, in lexicographic order:
+``k``-class restricted-growth strings for ``id_index_exact``, red sets of
+``r`` vertices, red before white, for ``id_number_exact``.  It prunes by
 
 * twins: vertices with equal open or closed neighbourhoods see every other
-  vertex at equal distance, so two same-class twins can never separate;
+  vertex at equal distance, so two same-label twins can never separate;
 * pair watching: for each unordered pair that could ever collide, the
   search maintains the running count differences and kills a branch as
   soon as the last vertex able to separate a pair is placed while all
@@ -38,8 +40,6 @@ from .strings_codes import (
     string_table,
 )
 from .structure import TupletClasses, tuplet_classes
-
-from itertools import combinations
 
 
 class BudgetExceededError(Exception):
@@ -66,7 +66,6 @@ class SearchLimits:
     """Budgets for the exact searches."""
 
     max_nodes: int = 10_000_000
-    id_number_max_n: int = 22
 
 
 @dataclass(frozen=True)
@@ -177,22 +176,23 @@ class IdNumberResult:
     coloring: RedWhiteColoring | None
 
 
-class _BudgetStop(Exception):
-    pass
+# refuse a watcher whose tables would exceed this many (pair, vertex)
+# entries, about 90 bytes each; cycle:120, watching every pair, needs 856,800
+_MAX_WATCH_ENTRIES = 4_000_000
 
 
 class _PairWatcher:
     """Shared per-graph structures for the level searches.
 
-    For each unordered pair (u, v) that twins and distance-count sums do
-    not already settle, ``updates[w]`` records how placing vertex ``w``
+    For each unordered non-twin pair (u, v) with ``key[u] == key[v]`` (other
+    pairs always separate), ``updates[w]`` records how placing vertex ``w``
     into a class shifts the running differences N_i(u, .) - N_i(v, .), and
     ``finalize_at[w]`` lists the pairs whose differences are complete once
     ``w`` is placed.
     """
 
-    def __init__(self, g: Graph, dm: DistanceMatrix, tc: TupletClasses):
-        n = g.n
+    def __init__(self, dm: DistanceMatrix, tc: TupletClasses, key):
+        n = len(dm.dist)
         dist = dm.dist
         self.n = n
         self.diam = dm.diameter
@@ -201,42 +201,43 @@ class _PairWatcher:
         self.twin_prev = [
             [u for u in range(v) if class_of[u] == class_of[v]] for v in range(n)
         ]
+        pairs = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if key[u] == key[v] and class_of[u] != class_of[v]
+        ]
+        if len(pairs) * n > _MAX_WATCH_ENTRIES:
+            raise BudgetExceededError(
+                f"pair tables need {len(pairs) * n} entries, limit {_MAX_WATCH_ENTRIES}"
+            )
 
-        # with every rank 1, a vertex's string counts the vertices on each sphere
-        count_vec = string_table(dm, RankAssignment((1,) * n))
-
+        self.pair_count = len(pairs)
         self.updates = [[] for _ in range(n)]
         self.finalize_at = [[] for _ in range(n)]
-        self.pair_count = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                if count_vec[u] != count_vec[v]:
-                    continue  # some distance count differs: always separated
-                if class_of[u] == class_of[v]:
-                    continue  # twins: handled by the twin rule
-                p = self.pair_count
-                self.pair_count += 1
-                duv = dist[u][v]
-                last = v
-                self.updates[u].append((p, -1, duv))
-                self.updates[v].append((p, duv, -1))
-                for w in range(n):
-                    if w == u or w == v:
-                        continue
-                    i, j = dist[u][w], dist[v][w]
-                    if i != j:
-                        self.updates[w].append((p, i, j))
-                        last = max(last, w)
-                self.finalize_at[last].append(p)
+        for p, (u, v) in enumerate(pairs):
+            duv = dist[u][v]
+            last = v
+            self.updates[u].append((p, -1, duv))
+            self.updates[v].append((p, duv, -1))
+            for w in range(n):
+                if w == u or w == v:
+                    continue
+                i, j = dist[u][w], dist[v][w]
+                if i != j:
+                    self.updates[w].append((p, i, j))
+                    last = max(last, w)
+            self.finalize_at[last].append(p)
 
-    def search_level(self, k: int, budget: int):
-        """First identifying k-class partition in lexicographic order.
+    def search_level(self, rule, level: int, counted: int, budget: int):
+        """First labelling in ``rule`` order that separates every pair.
 
-        Returns ``(assignment or None, nodes, completed)``; ``completed``
-        is False when the node budget ran out mid-level.
+        ``rule(n, level, w, used)`` lists vertex ``w``'s ``(label, used
+        after)`` options last-first; labels from ``counted`` up add nothing.
+        Returns ``(labels or None, nodes)``; ``nodes > budget`` if it ran out.
         """
         n = self.n
-        width = (self.diam + 1) * k
+        width = (self.diam + 1) * counted
         delta = [[0] * width for _ in range(self.pair_count)]
         nonzero = [0] * self.pair_count
         assign = [-1] * n
@@ -245,83 +246,78 @@ class _PairWatcher:
         finalize_at = self.finalize_at
         twin_prev = self.twin_prev
 
-        def place(w, c):
+        def shift(w, c, d):
+            if c >= counted:
+                return
+            nd = -d
             for p, ip, im in updates[w]:
                 row = delta[p]
                 if ip >= 0:
-                    s = ip * k + c
+                    s = ip * counted + c
                     old = row[s]
-                    row[s] = old + 1
+                    row[s] = old + d
                     if old == 0:
                         nonzero[p] += 1
-                    elif old == -1:
+                    elif old == nd:
                         nonzero[p] -= 1
                 if im >= 0:
-                    s = im * k + c
+                    s = im * counted + c
                     old = row[s]
-                    row[s] = old - 1
+                    row[s] = old - d
                     if old == 0:
                         nonzero[p] += 1
-                    elif old == 1:
-                        nonzero[p] -= 1
-            for p in finalize_at[w]:
-                if nonzero[p] == 0:
-                    return True
-            return False
-
-        def unplace(w, c):
-            for p, ip, im in updates[w]:
-                row = delta[p]
-                if ip >= 0:
-                    s = ip * k + c
-                    old = row[s]
-                    row[s] = old - 1
-                    if old == 0:
-                        nonzero[p] += 1
-                    elif old == 1:
-                        nonzero[p] -= 1
-                if im >= 0:
-                    s = im * k + c
-                    old = row[s]
-                    row[s] = old + 1
-                    if old == 0:
-                        nonzero[p] += 1
-                    elif old == -1:
+                    elif old == d:
                         nonzero[p] -= 1
 
-        def dfs(idx, used):
-            nonlocal nodes
-            if idx == n:
-                return used == k
-            rem = n - idx
-            if used + rem < k:
-                return False
-            lo = used if used + rem == k else 0
-            hi = used if used < k else k - 1
-            for c in range(lo, hi + 1):
-                conflict = False
-                for t in twin_prev[idx]:
-                    if assign[t] == c:
-                        conflict = True
-                        break
-                if conflict:
-                    continue
+        # pending[w]: the options of vertex w not tried yet; assign[w] is the
+        # label w holds, -1 once it is taken back
+        pending = [None] * n
+        pending[0] = rule(n, level, 0, 0)
+        w = 0
+        while w >= 0:
+            c = assign[w]
+            if c >= 0:
+                shift(w, c, -1)
+                assign[w] = -1
+            if not pending[w]:
+                w -= 1
+                continue
+            c, used = pending[w].pop()
+            for t in twin_prev[w]:
+                if assign[t] == c:
+                    break
+            else:  # no twin of w holds c
                 nodes += 1
                 if nodes > budget:
-                    raise _BudgetStop
-                assign[idx] = c
-                dead = place(idx, c)
-                if not dead and dfs(idx + 1, used + 1 if c == used else used):
-                    return True
-                unplace(idx, c)
-                assign[idx] = -1
-            return False
+                    return None, nodes
+                assign[w] = c
+                shift(w, c, 1)
+                for p in finalize_at[w]:
+                    if nonzero[p] == 0:
+                        break
+                else:  # no pair finalised at w collides
+                    if w == n - 1:
+                        return assign, nodes
+                    w += 1
+                    pending[w] = rule(n, level, w, used)
+        return None, nodes
 
-        try:
-            found = dfs(0, 0)
-        except _BudgetStop:
-            return None, nodes, False
-        return (list(assign) if found else None), nodes, True
+
+def _partition_labels(n: int, k: int, w: int, used: int):
+    """Restricted-growth strings with exactly ``k`` classes, ``used`` of
+    them opened before vertex ``w``: lexicographic order."""
+    lo = used if used + n - w == k else 0
+    hi = used if used < k else k - 1
+    return [(c, used + 1 if c == used else used) for c in range(hi, lo - 1, -1)]
+
+
+def _red_set_labels(n: int, r: int, w: int, used: int):
+    """Red sets of exactly ``r`` vertices, ``used`` red before vertex ``w``:
+    red (0) before white (1), the sorted sets in lexicographic order."""
+    options = [(1, used)] if n - w - 1 >= r - used else []
+    if used < r:
+        options.append((0, used + 1))
+    return options
 
 
 def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCertificate:
@@ -350,13 +346,16 @@ def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCerti
         )
     tc = tuplet_classes(g)
     lower = tc.max_size
-    watcher = _PairWatcher(g, dm, tc)
+    # pairs whose sphere sizes (strings under all-one ranks) differ always separate
+    watcher = _PairWatcher(dm, tc, string_table(dm, RankAssignment((1,) * g.n)))
     total_nodes = 0
     prev_level_nodes = 0
     for k in range(lower, g.n + 1):
-        assign, nodes, completed = watcher.search_level(k, limits.max_nodes - total_nodes)
+        assign, nodes = watcher.search_level(
+            _partition_labels, k, k, limits.max_nodes - total_nodes
+        )
         total_nodes += nodes
-        if not completed:
+        if total_nodes > limits.max_nodes:
             upper, _ = greedy_upper_bound(g)
             raise BudgetExceededError(
                 f"node budget {limits.max_nodes} exhausted; answer in [{k}, {upper}]",
@@ -365,7 +364,7 @@ def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCerti
                 nodes=total_nodes,
             )
         if assign is not None:
-            p = Partition(tuple(assign), max(assign) + 1)
+            p = Partition(tuple(assign), k)
             ranks = certificate_ranks(p)
             strings = string_table(dm, ranks)
             if not is_distinguishing(strings):
@@ -394,23 +393,34 @@ def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCerti
 def id_number_exact(g: Graph, limits: SearchLimits | None = None) -> IdNumberResult:
     """Smallest red set whose codes identify all vertices, if any.
 
-    Searches red subsets by increasing cardinality (lexicographic within a
-    cardinality), so the first hit is a minimum witness.  A graph at or
-    below the size budget that survives all ``2^n - 1`` subsets is
-    certified not identifiable by any coloring.
+    Searches red sets by increasing size, so the first hit is the
+    lexicographically least minimum witness.  Three or more mutual twins
+    always share a color, so such graphs are not identifiable at once.
     """
     limits = limits or SearchLimits()
-    if g.n > limits.id_number_max_n:
-        raise BudgetExceededError(
-            f"subset search needs 2^{g.n} - 1 colorings, budget is n <= "
-            f"{limits.id_number_max_n}"
-        )
     dm = all_pairs_distances(g)
+    tc = tuplet_classes(g)
+    if tc.max_size >= 3:
+        return IdNumberResult(False, None, None)
+    # red-only codes can collide even where sphere sizes differ: watch all pairs
+    watcher = _PairWatcher(dm, tc, [0] * g.n)
+    total_nodes = 0
     for r in range(1, g.n + 1):
-        for red in combinations(range(g.n), r):
-            coloring = RedWhiteColoring(g.n, frozenset(red))
-            if is_distinguishing(code_table(dm, coloring)):
-                return IdNumberResult(True, r, coloring)
+        labels, nodes = watcher.search_level(
+            _red_set_labels, r, 1, limits.max_nodes - total_nodes
+        )
+        total_nodes += nodes
+        if total_nodes > limits.max_nodes:
+            raise BudgetExceededError(
+                f"node budget {limits.max_nodes} exhausted at red-set size {r}",
+                nodes=total_nodes,
+            )
+        if labels is not None:
+            red = frozenset(v for v in range(g.n) if labels[v] == 0)
+            coloring = RedWhiteColoring(g.n, red)
+            if not is_distinguishing(code_table(dm, coloring)):
+                raise InternalInvariantError("red set fails code re-verification")
+            return IdNumberResult(True, r, coloring)
     return IdNumberResult(False, None, None)
 
 

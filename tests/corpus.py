@@ -12,6 +12,7 @@ import random
 
 from idindex import Graph, RankAssignment, build_graph, is_connected
 from idindex import all_pairs_distances, first_collision, is_distinguishing, string_table
+from idindex import RedWhiteColoring, code_table
 from idindex.families import random_connected_graph
 
 # master seed for the reproducible random corpus used across test modules
@@ -146,3 +147,21 @@ def reference_partition_distinguishes(dm, p):
         table.append(tuple(tuple(r) for r in rows))
     pair = first_collision(table)
     return (pair is None), pair
+
+
+def reference_id_number(g: Graph):
+    """Minimum red set by brute force over subsets, smallest first.
+
+    Tries the red sets of each size in ``itertools.combinations`` order and
+    tests every full code table, sharing none of the solver's pruning.
+    Returns ``(is_id_graph, id_number, red)`` with ``red`` the
+    lexicographically least minimum red set as a sorted tuple, or
+    ``(False, None, None)`` when no coloring identifies.
+    """
+    dm = all_pairs_distances(g)
+    for r in range(1, g.n + 1):
+        for red in itertools.combinations(range(g.n), r):
+            coloring = RedWhiteColoring(g.n, frozenset(red))
+            if is_distinguishing(code_table(dm, coloring)):
+                return True, r, red
+    return False, None, None

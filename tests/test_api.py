@@ -28,8 +28,6 @@ def test_test_only_names_are_not_in_the_library():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
-def test_search_limits_has_two_knobs():
-    assert list(idindex.SearchLimits.__dataclass_fields__) == [
-        "max_nodes",
-        "id_number_max_n",
-    ]
+def test_search_limits_has_one_knob():
+    # the node budget bounds both exact searches; the table limit is fixed
+    assert list(idindex.SearchLimits.__dataclass_fields__) == ["max_nodes"]

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import idindex.cli as cli
+import idindex.solvers as solvers
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,6 +89,42 @@ class TestCompute:
         assert code == 0, err
         assert out == (GOLDEN / f"heuristic_{name}.json").read_text()
 
+    # golden files hold the output of the recursive partition search and of
+    # the red-set search over itertools.combinations with full code tables;
+    # the exact ones pin nodes_searched and the witness
+    @pytest.mark.parametrize(
+        "name,spec",
+        [
+            ("petersen", "petersen"),
+            ("k4xk4", "product:(complete:4)x(complete:4)"),
+            ("cube5", "product:(product:(product:(product:(path:2)x(path:2))"
+                      "x(path:2))x(path:2))x(path:2)"),
+            ("prism6", "prism:6"),
+            ("grid4x5", "grid:4x5"),
+        ],
+    )
+    def test_exact_matches_golden(self, capsys, name, spec):
+        code, out, err = run_cli(capsys, "compute", "--family", spec)
+        assert code == 0, err
+        assert out == (GOLDEN / f"exact_{name}.json").read_text()
+
+    @pytest.mark.parametrize(
+        "name,spec",
+        [
+            ("k4xk4", "product:(complete:4)x(complete:4)"),
+            ("prism8", "prism:8"),
+            ("grid45", "grid:4x5"),
+            ("cycle20", "cycle:20"),
+            ("petersen", "petersen"),
+            ("path6", "path:6"),
+            ("multipartite112", "multipartite:1,1,2"),
+        ],
+    )
+    def test_id_number_matches_golden(self, capsys, name, spec):
+        code, out, err = run_cli(capsys, "compute", "--family", spec, "--id-number")
+        assert code == 0, err
+        assert out == (GOLDEN / f"id_number_{name}.json").read_text()
+
     def test_json_file_output(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"
         code, out, _ = run_cli(
@@ -111,9 +149,9 @@ class TestCompute:
 
     def test_deep_search_prints_no_traceback(self, capsys):
         # a search deeper than the interpreter's recursion limit
-        code, _, err = run_cli(capsys, "compute", "--family", "path:1100")
-        assert code in (0, 4)
-        assert "Traceback" not in err
+        code, out, err = run_cli(capsys, "compute", "--family", "path:1100")
+        assert code == 0, err
+        assert json.loads(out)["k"] == 2
 
     def test_stray_solver_error_is_internal(self, capsys, monkeypatch):
         def broken(g, limits):
@@ -125,9 +163,28 @@ class TestCompute:
         assert err == "internal error: RuntimeError: boom\n"
 
     def test_id_number_size_budget(self, capsys):
-        code, _, err = run_cli(capsys, "compute", "--family", "path:23",
-                               "--id-number")
-        assert code == 3
+        # all 79,800 pairs of 400 vertices are watched: refused before building
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "compute", "--family", "grid:20x20",
+                                 "--id-number")
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and out == ""
+        assert "budget:" in err
+
+    def test_id_number_node_budget(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "product:(complete:4)x(complete:4)",
+            "--id-number", "--budget-nodes", "1",
+        )
+        assert code == 3 and out == ""
+        assert "budget:" in err
+
+    @pytest.mark.parametrize("command", ["compute", "verify", "analyze"])
+    def test_deterministic_is_a_sweep_flag(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--family", "path:3",
+                                 "--deterministic=false")
+        assert code == 2 and out == ""
+        assert "--deterministic" in err
 
 
 class TestVerify:
@@ -229,6 +286,7 @@ class TestSweep:
         assert idi == ["3", "3", "3", "2", "2", "2", "2", "2", "2", "2"]
         assert all(row.split(",")[8] == "yes" for row in lines[1:])
         assert all(row.split(",")[10] == "0" for row in lines[1:])
+        assert out == (GOLDEN / "sweep_cycle_3_12.csv").read_text()
 
     def test_grid_range_covers_all_pairs(self, capsys):
         code, out, _ = run_cli(
@@ -267,6 +325,28 @@ class TestSweep:
             )
             assert code == 0 and out == ""
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_bfs_and_one_twin_pass_per_row(self, capsys, monkeypatch):
+        calls = {"bfs": 0, "twins": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for module in (cli, solvers):
+            for attr, name in (("all_pairs_distances", "bfs"), ("tuplet_classes", "twins")):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(
+                        module, attr, counting(name, getattr(module, attr))
+                    )
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "cycle", "--from", "3", "--to", "12"
+        )
+        assert code == 0, err
+        assert calls == {"bfs": 10, "twins": 10}
 
     def test_wall_clock_mode(self, capsys):
         code, out, _ = run_cli(

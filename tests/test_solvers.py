@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idindex import solvers
 from idindex.families import generate, parse_family_spec
 from idindex.graphs import all_pairs_distances, build_graph
 from idindex.solvers import (
@@ -29,6 +30,8 @@ from corpus import (
     geometric_pool,
     id_index_oracle,
     random_connected_graph,
+    random_corpus,
+    reference_id_number,
     reference_partition_distinguishes,
     restricted_growth_strings,
 )
@@ -345,9 +348,27 @@ class TestIdNumberExact:
                 assert not is_distinguishing(table)
         assert is_distinguishing(code_table(dm, res.coloring))
 
-    def test_size_budget(self):
+    def test_matches_reference(self):
+        graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+        for g in graphs + random_corpus(200):
+            res = id_number_exact(g)
+            red = tuple(sorted(res.coloring.red)) if res.coloring else None
+            assert (res.is_id_graph, res.id_number, red) == reference_id_number(g)
+
+    def test_node_budget(self):
         with pytest.raises(BudgetExceededError):
-            id_number_exact(graph_for("path:23"))
+            id_number_exact(graph_for("product:(complete:4)x(complete:4)"),
+                            SearchLimits(max_nodes=1))
+
+    def test_size_budget(self, monkeypatch):
+        # cycle:6 watches all 15 pairs, 90 table entries
+        monkeypatch.setattr(solvers, "_MAX_WATCH_ENTRIES", 89)
+        with pytest.raises(BudgetExceededError):
+            id_number_exact(graph_for("cycle:6"))
+        with pytest.raises(BudgetExceededError):
+            id_index_exact(graph_for("cycle:6"))
+        monkeypatch.setattr(solvers, "_MAX_WATCH_ENTRIES", 90)
+        assert id_number_exact(graph_for("cycle:6")).id_number == 3
 
 
 class TestGreedyUpperBound:
