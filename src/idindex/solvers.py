@@ -20,14 +20,16 @@ an explicit stack for both exact searches, in lexicographic order:
 * twins: vertices with equal open or closed neighbourhoods see every other
   vertex at equal distance, so two same-label twins can never separate;
 * pair watching: for each unordered pair that could ever collide, the
-  search maintains the running count differences and kills a branch as
-  soon as the last vertex able to separate a pair is placed while all
-  differences are zero.
+  search keeps per counted class one exact integer whose balanced digits
+  are the running count differences, one digit per distance, and kills a
+  branch as soon as the last vertex able to separate a pair is placed
+  while that integer is zero on every class.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, DistanceMatrix, all_pairs_distances
@@ -177,25 +179,31 @@ class IdNumberResult:
 
 
 # refuse a watcher whose tables would exceed this many (pair, vertex)
-# entries, about 90 bytes each; cycle:120, watching every pair, needs 856,800
+# entries, about 72 bytes each on 64-bit CPython 3.11 (a 3-tuple and its list
+# slot); cycle:120, watching every pair, needs 856,800
 _MAX_WATCH_ENTRIES = 4_000_000
 
 
 class _PairWatcher:
     """Shared per-graph structures for the level searches.
 
-    For each unordered non-twin pair (u, v) with ``key[u] == key[v]`` (other
-    pairs always separate), ``updates[w]`` records how placing vertex ``w``
-    into a class shifts the running differences N_i(u, .) - N_i(v, .), and
-    ``finalize_at[w]`` lists the pairs whose differences are complete once
-    ``w`` is placed.
+    The search keeps, per counted class ``c`` and per unordered non-twin
+    pair (u, v) with ``key[u] == key[v]`` (other pairs always separate), one
+    integer whose digit ``i-1`` in base ``2S+1`` is N_i(u, c) - N_i(v, c),
+    where ``S`` is the largest sphere, the most vertices any vertex sees at
+    one distance.  Each count lies in ``[0, S]``, so each digit lies in
+    ``[-S, S]``; balanced digits in that range are unique, and the integer
+    is 0 exactly when every count difference is.  ``updates[w]`` holds
+    ``(p, power[d(u, w)], power[d(v, w)])`` for the pairs whose integer
+    changes when ``w`` joins a class, with ``power[0] = 0`` since no vertex
+    counts itself; ``finalize_at[w]`` lists the pairs whose integers are
+    complete once ``w`` is placed.
     """
 
     def __init__(self, dm: DistanceMatrix, tc: TupletClasses, key):
         n = len(dm.dist)
         dist = dm.dist
         self.n = n
-        self.diam = dm.diameter
 
         class_of = tc.class_index()
         self.twin_prev = [
@@ -212,21 +220,19 @@ class _PairWatcher:
                 f"pair tables need {len(pairs) * n} entries, limit {_MAX_WATCH_ENTRIES}"
             )
 
+        # S, the largest sphere, bounds every count; balanced digits need 2S+1
+        base = 2 * max(max(Counter(row).values()) for row in dist) + 1
+        power = [0] + [base**i for i in range(dm.diameter)]
         self.pair_count = len(pairs)
         self.updates = [[] for _ in range(n)]
         self.finalize_at = [[] for _ in range(n)]
         for p, (u, v) in enumerate(pairs):
-            duv = dist[u][v]
-            last = v
-            self.updates[u].append((p, -1, duv))
-            self.updates[v].append((p, duv, -1))
+            # w = u and w = v always enter: each sees itself at 0, the other not
             for w in range(n):
-                if w == u or w == v:
-                    continue
                 i, j = dist[u][w], dist[v][w]
                 if i != j:
-                    self.updates[w].append((p, i, j))
-                    last = max(last, w)
+                    self.updates[w].append((p, power[i], power[j]))
+                    last = w
             self.finalize_at[last].append(p)
 
     def search_level(self, rule, level: int, counted: int, budget: int):
@@ -237,37 +243,13 @@ class _PairWatcher:
         Returns ``(labels or None, nodes)``; ``nodes > budget`` if it ran out.
         """
         n = self.n
-        width = (self.diam + 1) * counted
-        delta = [[0] * width for _ in range(self.pair_count)]
-        nonzero = [0] * self.pair_count
+        # rows[c][p]: pair p's integer for class c
+        rows = [[0] * self.pair_count for _ in range(counted)]
         assign = [-1] * n
         nodes = 0
         updates = self.updates
         finalize_at = self.finalize_at
         twin_prev = self.twin_prev
-
-        def shift(w, c, d):
-            if c >= counted:
-                return
-            nd = -d
-            for p, ip, im in updates[w]:
-                row = delta[p]
-                if ip >= 0:
-                    s = ip * counted + c
-                    old = row[s]
-                    row[s] = old + d
-                    if old == 0:
-                        nonzero[p] += 1
-                    elif old == nd:
-                        nonzero[p] -= 1
-                if im >= 0:
-                    s = im * counted + c
-                    old = row[s]
-                    row[s] = old - d
-                    if old == 0:
-                        nonzero[p] += 1
-                    elif old == d:
-                        nonzero[p] -= 1
 
         # pending[w]: the options of vertex w not tried yet; assign[w] is the
         # label w holds, -1 once it is taken back
@@ -277,8 +259,11 @@ class _PairWatcher:
         while w >= 0:
             c = assign[w]
             if c >= 0:
-                shift(w, c, -1)
                 assign[w] = -1
+                if c < counted:
+                    row = rows[c]
+                    for p, a, b in updates[w]:
+                        row[p] -= a - b
             if not pending[w]:
                 w -= 1
                 continue
@@ -291,9 +276,15 @@ class _PairWatcher:
                 if nodes > budget:
                     return None, nodes
                 assign[w] = c
-                shift(w, c, 1)
+                if c < counted:
+                    row = rows[c]
+                    for p, a, b in updates[w]:
+                        row[p] += a - b
                 for p in finalize_at[w]:
-                    if nonzero[p] == 0:
+                    for r in rows:
+                        if r[p]:
+                            break
+                    else:  # pair p is 0 on every class: it collides
                         break
                 else:  # no pair finalised at w collides
                     if w == n - 1:
@@ -356,7 +347,7 @@ def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCerti
         )
         total_nodes += nodes
         if total_nodes > limits.max_nodes:
-            upper, _ = greedy_upper_bound(g)
+            upper, _ = _greedy_upper_bound(dm, tc, 0)
             raise BudgetExceededError(
                 f"node budget {limits.max_nodes} exhausted; answer in [{k}, {upper}]",
                 lower=k,
@@ -434,10 +425,15 @@ def greedy_upper_bound(g: Graph, seed: int = 0) -> tuple[int, IdIndexCertificate
     has at least two members, so runs are reproducible.  All-singletons
     always identifies, so this terminates with ``k <= n``.
     """
-    dm = all_pairs_distances(g)
-    tc = tuplet_classes(g)
+    return _greedy_upper_bound(all_pairs_distances(g), tuplet_classes(g), seed)
+
+
+def _greedy_upper_bound(
+    dm: DistanceMatrix, tc: TupletClasses, seed: int
+) -> tuple[int, IdIndexCertificate]:
+    """``greedy_upper_bound`` on distances and twin classes already computed."""
     rng = random.Random(seed)
-    labels = [0] * g.n
+    labels = [0] * len(dm.dist)
     for cls in tc.classes:
         for j, v in enumerate(sorted(cls.members)):
             labels[v] = j

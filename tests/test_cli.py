@@ -24,6 +24,24 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def count_bfs_and_twins(monkeypatch):
+    """Count the BFS and twin passes the CLI and the solvers make."""
+    calls = {"bfs": 0, "twins": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (cli, solvers):
+        for attr, name in (("all_pairs_distances", "bfs"), ("tuplet_classes", "twins")):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+    return calls
+
+
 class TestCompute:
     def test_petersen(self, capsys):
         obj = run_json(capsys, "compute", "--family", "petersen")
@@ -138,6 +156,14 @@ class TestCompute:
             capsys, "compute", "--family", "prism:5", "--budget-nodes", "5"
         )
         assert code == 3 and "budget:" in err
+
+    def test_budget_bracket_reuses_distances_and_twins(self, capsys, monkeypatch):
+        calls = count_bfs_and_twins(monkeypatch)
+        code, _, err = run_cli(
+            capsys, "compute", "--family", "prism:5", "--budget-nodes", "5"
+        )
+        assert code == 3 and "answer in [1, 4]" in err
+        assert calls == {"bfs": 1, "twins": 1}
 
     @pytest.mark.parametrize("budget", ["0", "-5", "many"])
     def test_budget_below_one_is_a_usage_error(self, capsys, budget):
@@ -327,21 +353,7 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_one_bfs_and_one_twin_pass_per_row(self, capsys, monkeypatch):
-        calls = {"bfs": 0, "twins": 0}
-
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        for module in (cli, solvers):
-            for attr, name in (("all_pairs_distances", "bfs"), ("tuplet_classes", "twins")):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(
-                        module, attr, counting(name, getattr(module, attr))
-                    )
+        calls = count_bfs_and_twins(monkeypatch)
         code, out, err = run_cli(
             capsys, "sweep", "--family", "cycle", "--from", "3", "--to", "12"
         )

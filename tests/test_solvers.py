@@ -1,5 +1,7 @@
+import json
 import random
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,9 @@ from corpus import (
     reference_partition_distinguishes,
     restricted_growth_strings,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def graph_for(text):
@@ -265,6 +270,31 @@ class TestIdIndexExact:
         assert obj["k"] == 2
         assert all(isinstance(r, str) for r in obj["ranks"])
         assert obj["exhausted_k_minus_1"] is True
+
+
+class TestSearchPins:
+    """Node counts and witnesses recorded from the per-distance counter
+    kernel: a change of the pair-difference format must leave them alone."""
+
+    @pytest.mark.parametrize("spec", ["cycle:120", "grid:12x12", "path:600"])
+    def test_large_diameter(self, spec):
+        # diameters 60, 22 and 599: the pair integers run to hundreds of digits
+        pin = json.loads((GOLDEN / "search_large_diameter.json").read_text())[spec]
+        cert = id_index_exact(graph_for(spec))
+        assert cert.k == pin["k"]
+        assert cert.nodes_searched == pin["nodes_searched"]
+        assert list(cert.partition.assignment) == pin["partition"]
+
+    def test_random_corpus(self):
+        pins = json.loads((GOLDEN / "search_random_corpus.json").read_text())
+        for g, pin in zip(random_corpus(200), pins, strict=True):
+            cert = id_index_exact(g)
+            assert (cert.k, cert.nodes_searched, list(cert.partition.assignment)) == (
+                pin["k"], pin["nodes_searched"], pin["partition"]
+            )
+            res = id_number_exact(g)
+            red = sorted(res.coloring.red) if res.coloring else None
+            assert (res.id_number, red) == (pin["id_number"], pin["red"])
 
 
 class TestIdIndexOracle:
