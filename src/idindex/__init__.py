@@ -31,6 +31,7 @@ from .structure import (
     DistanceProfile,
     TupletClass,
     TupletClasses,
+    counting_lower_bound,
     distance_profile,
     idi_lower_bound,
     multipartite_binomial_bound,
@@ -80,6 +81,7 @@ __all__ = [
     "DistanceProfile",
     "TupletClass",
     "TupletClasses",
+    "counting_lower_bound",
     "distance_profile",
     "idi_lower_bound",
     "multipartite_binomial_bound",

@@ -5,9 +5,14 @@ Subcommands::
     compute    exact minimum distinct-rank count (default), --id-number for
                the minimum red set, --heuristic for the greedy upper bound
     verify     check a rank assignment / coloring / closed-form construction
-    analyze    twin classes, lower bound and distance profile
+    analyze    twin classes T, the sphere-counting lower bound (never below
+               T) and the distance profile
     construct  emit a closed-form rank assignment
     sweep      family range or random batch vs expected values, as CSV
+
+The ``lower_bound`` of ``compute`` and both the ``T`` and ``lower_bound``
+columns of ``sweep`` report the twin bound T; the exact search itself
+starts at the counting bound that ``analyze`` reports.
 
 Exit codes: 0 success, 2 usage or input error, 3 search budget exhausted,
 4 internal invariant violation or other internal error, 5 sweep found a
@@ -55,6 +60,7 @@ from .solvers import (
 from .strings_codes import (
     MissingRankError,
     NoRedVertexError,
+    RankAssignment,
     RedWhiteColoring,
     first_collision,
     rank_assignment_from_json,
@@ -63,6 +69,7 @@ from .strings_codes import (
 )
 from .structure import (
     InvalidMultiplicitiesError,
+    counting_lower_bound,
     distance_profile,
     tuplet_classes,
 )
@@ -202,13 +209,14 @@ def _cmd_analyze(args) -> int:
     g, _ = _load_graph(args)
     dm = all_pairs_distances(g)
     tc = tuplet_classes(g)
+    spheres = string_table(dm, RankAssignment((1,) * g.n))
     profile = distance_profile(dm)
     _emit(
         {
             "n": g.n,
             "diameter": dm.diameter,
             "T": tc.max_size,
-            "idi_lower_bound": tc.max_size,
+            "idi_lower_bound": counting_lower_bound(spheres, tc.max_size),
             "tuplet_classes": [
                 {"members": list(c.members), "kind": c.kind} for c in tc.classes
             ],

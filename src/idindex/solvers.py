@@ -12,6 +12,16 @@ therefore reduces to finding the smallest ``k`` for which some ``k``-class
 partition separates all count pairs, with the geometric ranks as an
 explicit integer witness.  A red set asks the same with one counted class.
 
+Neither search tries a level the sphere-counting bound
+(``structure.counting_lower_bound``) already rules out: ``m`` vertices
+with the same sphere sizes need ``m`` distinct count matrices, and ``k``
+classes allow only so many.  ``id_index_exact`` starts at that bound, and
+its ``k - 1`` witness says ``counting-bound`` when the answer meets it.  A
+red set whose codes identify the graph makes a 2-class partition that
+separates it, so a bound of 3 or more answers "not an ID graph" at once.
+The bound is never below the twin bound T, which the certificates still
+report as ``lower_bound``.
+
 One kernel, ``_PairWatcher``, labels vertices ``0..n-1`` depth-first with
 an explicit stack for both exact searches, in lexicographic order:
 ``k``-class restricted-growth strings for ``id_index_exact``, red sets of
@@ -41,7 +51,7 @@ from .strings_codes import (
     is_distinguishing,
     string_table,
 )
-from .structure import TupletClasses, tuplet_classes
+from .structure import TupletClasses, counting_lower_bound, tuplet_classes
 
 
 class BudgetExceededError(Exception):
@@ -49,7 +59,8 @@ class BudgetExceededError(Exception):
 
     For the partition search the certified bracket ``lower <= answer <=
     upper`` is attached (levels below ``lower`` were exhausted or excluded
-    by the twin bound; ``upper`` comes from a verified greedy witness).
+    by the twin or the counting bound; ``upper`` comes from a verified
+    greedy witness).
     """
 
     def __init__(self, message, lower=None, upper=None, nodes=None):
@@ -137,7 +148,9 @@ class InfeasibilityWitness:
 
     ``certified_by`` is ``exhaustive-search`` (the level was searched to
     completion), ``tuplet-bound`` (some twin class is larger than
-    ``level``), or ``vacuous`` (``level`` is 0).
+    ``level``), ``counting-bound`` (``level`` classes allow fewer count
+    matrices than some group of vertices with equal sphere sizes has
+    members; ``nodes`` is 0), or ``vacuous`` (``level`` is 0).
     """
 
     level: int
@@ -147,6 +160,14 @@ class InfeasibilityWitness:
 
 @dataclass(frozen=True)
 class IdIndexCertificate:
+    """Result of ``id_index_exact``; ``greedy_upper_bound`` fills the same
+    fields with no infeasibility witness.
+
+    ``lower_bound`` is the twin bound T, the largest twin class, even where
+    the search started higher at the counting bound: the JSON
+    ``lower_bound`` and the sweep columns report T.
+    """
+
     k: int
     partition: Partition
     ranks: RankAssignment
@@ -314,9 +335,9 @@ def _red_set_labels(n: int, r: int, w: int, used: int):
 def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCertificate:
     """Minimum number of distinct ranks, with a verified certificate.
 
-    Iterates the class count ``k`` upward from the twin lower bound,
-    exhausting each level before moving on; the returned partition is the
-    lexicographically least feasible restricted-growth string at the
+    Iterates the class count ``k`` upward from the sphere-counting lower
+    bound, exhausting each level before moving on; the returned partition
+    is the lexicographically least feasible restricted-growth string at the
     optimal ``k``.  Raises ``BudgetExceededError`` (with the certified
     bracket) when the node budget runs out, ``DisconnectedError`` for
     disconnected input.
@@ -338,10 +359,12 @@ def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCerti
     tc = tuplet_classes(g)
     lower = tc.max_size
     # pairs whose sphere sizes (strings under all-one ranks) differ always separate
-    watcher = _PairWatcher(dm, tc, string_table(dm, RankAssignment((1,) * g.n)))
+    spheres = string_table(dm, RankAssignment((1,) * g.n))
+    start = counting_lower_bound(spheres, lower)
+    watcher = _PairWatcher(dm, tc, spheres)
     total_nodes = 0
     prev_level_nodes = 0
-    for k in range(lower, g.n + 1):
+    for k in range(start, g.n + 1):
         assign, nodes = watcher.search_level(
             _partition_labels, k, k, limits.max_nodes - total_nodes
         )
@@ -366,6 +389,8 @@ def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCerti
                 witness = InfeasibilityWitness(
                     k - 1, "vacuous" if k == 1 else "tuplet-bound", 0
                 )
+            elif k == start:
+                witness = InfeasibilityWitness(k - 1, "counting-bound", 0)
             else:
                 witness = InfeasibilityWitness(k - 1, "exhaustive-search", prev_level_nodes)
             return IdIndexCertificate(
@@ -385,13 +410,15 @@ def id_number_exact(g: Graph, limits: SearchLimits | None = None) -> IdNumberRes
     """Smallest red set whose codes identify all vertices, if any.
 
     Searches red sets by increasing size, so the first hit is the
-    lexicographically least minimum witness.  Three or more mutual twins
-    always share a color, so such graphs are not identifiable at once.
+    lexicographically least minimum witness.  A counting bound of 3 or more
+    (three or more mutual twins, for one) rules out every red set, so such
+    graphs are not identifiable at once.
     """
     limits = limits or SearchLimits()
     dm = all_pairs_distances(g)
     tc = tuplet_classes(g)
-    if tc.max_size >= 3:
+    spheres = string_table(dm, RankAssignment((1,) * g.n))
+    if counting_lower_bound(spheres, tc.max_size) >= 3:
         return IdNumberResult(False, None, None)
     # red-only codes can collide even where sphere sizes differ: watch all pairs
     watcher = _PairWatcher(dm, tc, [0] * g.n)

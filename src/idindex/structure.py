@@ -5,7 +5,9 @@ independent, non-adjacent group) or equal closed neighbourhoods (a mutually
 adjacent group).  Twins sit at equal distance from every other vertex, so
 two same-rank twins always receive identical strings; the size of the
 largest twin class is therefore a lower bound on how many distinct rank
-values any identifying assignment needs.
+values any identifying assignment needs.  ``counting_lower_bound`` is
+never weaker: vertices with equal sphere sizes need distinct strings, and
+``k`` rank values allow only so many.
 
 A graph is *distance regular in counts* here when every vertex sees the
 same number of vertices at each distance; that profile is what makes
@@ -15,6 +17,7 @@ affine rank changes harmless and is recorded per graph when present.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, DistanceMatrix
@@ -88,6 +91,30 @@ def tuplet_classes(g: Graph) -> TupletClasses:
 def idi_lower_bound(g: Graph) -> int:
     """Largest twin class size (at least 1)."""
     return tuplet_classes(g).max_size
+
+
+def counting_lower_bound(spheres, twin_bound: int) -> int:
+    """Least ``k >= twin_bound`` leaving every vertex room for its own string.
+
+    ``spheres`` is the string table under all-one ranks: ``spheres[v]``
+    lists how many vertices sit at each distance from ``v``, nonzero exactly
+    up to ``v``'s eccentricity ``e``.  Vertices with different rows always
+    separate.  Under a k-class partition, row ``i`` of ``v``'s count matrix
+    splits ``s_i`` vertices among ``k`` classes, ``C(s_i + k - 1, k - 1)``
+    ways, and row ``e`` follows from the class sizes, ``v``'s own class and
+    rows ``1..e-1``.  So ``m`` vertices sharing a row have at most ``k *
+    prod_{i<e} C(s_i + k - 1, k - 1)`` strings to share out, and ``k`` must
+    make that at least ``m``.
+    """
+    groups = Counter(spheres)
+    free = {row: [s for s in row if s][:-1] for row in groups}
+    k = twin_bound
+    while any(
+        m > k * math.prod(math.comb(s + k - 1, k - 1) for s in free[row])
+        for row, m in groups.items()
+    ):
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)

@@ -165,3 +165,51 @@ def reference_id_number(g: Graph):
             if is_distinguishing(code_table(dm, coloring)):
                 return True, r, red
     return False, None, None
+
+
+def reference_counting_bound(g: Graph) -> int:
+    """The sphere-counting lower bound from first principles.
+
+    Distances come from ``floyd_warshall``; two vertices are twins when they
+    see every other vertex at equal distance, and T is the largest such
+    class.  A vertex's profile lists its sphere sizes out to its
+    eccentricity ``e``; under ``k`` classes the first ``e - 1`` spheres can
+    each be split among the classes in as many ways as there are
+    compositions, counted here by dynamic programming, and the last sphere
+    is fixed by the others and the vertex's own class.  The bound is the
+    least ``k >= T`` that gives every profile group a distinct string per
+    member.
+    """
+    dist = floyd_warshall(g)
+    n = g.n
+    twins = max(
+        sum(
+            all(dist[u][w] == dist[v][w] for w in range(n) if w not in (u, v))
+            for u in range(n)
+        )
+        for v in range(n)
+    )
+    groups: dict[tuple, int] = {}
+    for v in range(n):
+        ecc = max(dist[v])
+        profile = tuple(dist[v].count(i) for i in range(1, ecc + 1))
+        groups[profile] = groups.get(profile, 0) + 1
+
+    def compositions(total, parts):
+        # ways[t]: ordered ways to write t as a sum of the parts added so far
+        ways = [1] + [0] * total
+        for _ in range(parts):
+            ways = [sum(ways[: t + 1]) for t in range(total + 1)]
+        return ways[total]
+
+    k = twins
+    while True:
+        fits = True
+        for profile, members in groups.items():
+            strings = k
+            for s in profile[:-1]:
+                strings *= compositions(s, k)
+            fits = fits and members <= strings
+        if fits:
+            return k
+        k += 1

@@ -22,7 +22,7 @@ from idindex.constructions import (
 )
 from idindex.families import FamilySpec, generate, random_connected_graph
 from idindex.graphs import all_pairs_distances
-from idindex.solvers import id_index_exact, id_number_exact
+from idindex.solvers import Partition, id_index_exact, id_number_exact
 from idindex.strings_codes import (
     RankAssignment,
     RedWhiteColoring,
@@ -38,6 +38,8 @@ from corpus import (
     geometric_pool,
     id_index_oracle,
     random_corpus,
+    reference_partition_distinguishes,
+    restricted_growth_strings,
 )
 
 
@@ -118,12 +120,18 @@ def test_criterion_1_family_table():
 @criterion(2, "petersen")
 def test_criterion_2_petersen():
     started = time.perf_counter()
-    cert = id_index_exact(graph_of(FamilySpec("petersen")))
+    g = graph_of(FamilySpec("petersen"))
+    cert = id_index_exact(g)
     assert cert.k == 3
     assert cert.infeasibility is not None
     assert cert.infeasibility.level == 2
-    assert cert.infeasibility.certified_by == "exhaustive-search"
-    assert cert.infeasibility.nodes > 0
+    assert cert.infeasibility.certified_by == "counting-bound"
+    # the bound's verdict, checked by trying every 2-class partition
+    dm = all_pairs_distances(g)
+    assert not any(
+        reference_partition_distinguishes(dm, Partition(rgs, 2))[0]
+        for rgs in restricted_growth_strings(10, 2)
+    )
     assert time.perf_counter() - started < 10
 
 

@@ -162,7 +162,7 @@ class TestCompute:
         code, _, err = run_cli(
             capsys, "compute", "--family", "prism:5", "--budget-nodes", "5"
         )
-        assert code == 3 and "answer in [1, 4]" in err
+        assert code == 3 and "answer in [2, 4]" in err
         assert calls == {"bfs": 1, "twins": 1}
 
     @pytest.mark.parametrize("budget", ["0", "-5", "many"])
@@ -199,11 +199,18 @@ class TestCompute:
 
     def test_id_number_node_budget(self, capsys):
         code, out, err = run_cli(
+            capsys, "compute", "--family", "prism:8", "--id-number",
+            "--budget-nodes", "1",
+        )
+        assert code == 3 and out == ""
+        assert err == "budget: node budget 1 exhausted at red-set size 1\n"
+        # the counting bound settles K4xK4 before any red set is tried
+        code, out, err = run_cli(
             capsys, "compute", "--family", "product:(complete:4)x(complete:4)",
             "--id-number", "--budget-nodes", "1",
         )
-        assert code == 3 and out == ""
-        assert "budget:" in err
+        assert code == 0, err
+        assert json.loads(out)["is_id_graph"] is False
 
     @pytest.mark.parametrize("command", ["compute", "verify", "analyze"])
     def test_deterministic_is_a_sweep_flag(self, capsys, command):
@@ -271,7 +278,7 @@ class TestAnalyze:
         assert obj["n"] == 10
         assert obj["diameter"] == 2
         assert obj["T"] == 1
-        assert obj["idi_lower_bound"] == 1
+        assert obj["idi_lower_bound"] == 3  # the counting bound
         assert obj["distance_profile"] == [3, 6]
         assert all(c["kind"] is None for c in obj["tuplet_classes"])
 

@@ -237,6 +237,9 @@ class TestIdIndexExact:
         above_bound = id_index_exact(graph_for("cycle:4"))
         assert above_bound.infeasibility.certified_by == "exhaustive-search"
         assert above_bound.infeasibility.nodes > 0
+        at_counting_bound = id_index_exact(graph_for("petersen"))
+        assert at_counting_bound.infeasibility.certified_by == "counting-bound"
+        assert at_counting_bound.infeasibility.nodes == 0
 
     def test_returns_lex_least_witness(self):
         for n in range(2, 6):
@@ -273,8 +276,8 @@ class TestIdIndexExact:
 
 
 class TestSearchPins:
-    """Node counts and witnesses recorded from the per-distance counter
-    kernel: a change of the pair-difference format must leave them alone."""
+    """Node counts and witnesses of the search that starts at the counting
+    bound: a change of the pair-difference format must leave them alone."""
 
     @pytest.mark.parametrize("spec", ["cycle:120", "grid:12x12", "path:600"])
     def test_large_diameter(self, spec):
@@ -387,8 +390,7 @@ class TestIdNumberExact:
 
     def test_node_budget(self):
         with pytest.raises(BudgetExceededError):
-            id_number_exact(graph_for("product:(complete:4)x(complete:4)"),
-                            SearchLimits(max_nodes=1))
+            id_number_exact(graph_for("prism:8"), SearchLimits(max_nodes=1))
 
     def test_size_budget(self, monkeypatch):
         # cycle:6 watches all 15 pairs, 90 table entries

@@ -4,15 +4,25 @@ import pytest
 
 from idindex.families import parse_family_spec, generate
 from idindex.graphs import all_pairs_distances, build_graph
+from idindex.strings_codes import RankAssignment, string_table
 from idindex.structure import (
     InvalidMultiplicitiesError,
+    counting_lower_bound,
     distance_profile,
     idi_lower_bound,
     multipartite_binomial_bound,
     tuplet_classes,
 )
 
-from corpus import all_connected_graphs
+from corpus import (
+    all_connected_graphs,
+    connected_corpus_up_to,
+    geometric_pool,
+    id_index_oracle,
+    random_corpus,
+    reference_counting_bound,
+    reference_id_number,
+)
 
 
 def graph_for(text):
@@ -104,6 +114,44 @@ class TestLowerBound:
     )
     def test_examples(self, text, bound):
         assert idi_lower_bound(graph_for(text)) == bound
+
+
+def library_counting_bound(g):
+    dm = all_pairs_distances(g)
+    spheres = string_table(dm, RankAssignment((1,) * g.n))
+    return counting_lower_bound(spheres, tuplet_classes(g).max_size)
+
+
+class TestCountingBound:
+    @pytest.mark.parametrize(
+        "text,bound",
+        [
+            ("product:(complete:4)x(complete:4)", 3),
+            ("product:(complete:4)x(complete:5)", 3),
+            ("product:(complete:5)x(complete:5)", 3),
+            ("petersen", 3),
+            ("product:(petersen)x(path:2)", 2),
+            ("product:(product:(product:(product:(path:2)x(path:2))x(path:2))"
+             "x(path:2))x(path:2)", 2),
+            ("product:(cycle:5)x(cycle:5)", 2),
+            ("path:1", 1),
+        ],
+    )
+    def test_examples(self, text, bound):
+        g = graph_for(text)
+        assert library_counting_bound(g) == bound
+        assert reference_counting_bound(g) == bound
+        if bound >= 3 and g.n <= 10:  # the brute force tries 2^n red sets
+            assert reference_id_number(g)[0] is False
+
+    def test_between_twin_bound_and_answer(self):
+        for g in list(connected_corpus_up_to(5)) + random_corpus(200):
+            bound = library_counting_bound(g)
+            assert bound == reference_counting_bound(g)
+            assert idi_lower_bound(g) <= bound
+            assert bound <= id_index_oracle(g, geometric_pool(g.n))
+            if bound >= 3:
+                assert reference_id_number(g)[0] is False
 
 
 class TestDistanceProfile:
