@@ -28,12 +28,10 @@ from .strings_codes import (
     string_table,
 )
 from .structure import (
-    DistanceProfile,
     TupletClass,
     TupletClasses,
     counting_lower_bound,
     distance_profile,
-    idi_lower_bound,
     multipartite_binomial_bound,
     tuplet_classes,
 )
@@ -41,13 +39,11 @@ from .solvers import (
     IdIndexCertificate,
     IdNumberResult,
     Partition,
-    SearchLimits,
     certificate_ranks,
     greedy_upper_bound,
     id_index_exact,
     id_number_exact,
     partition_distinguishes,
-    partition_of_ranks,
     to_restricted_growth,
 )
 from .constructions import (
@@ -78,24 +74,20 @@ __all__ = [
     "first_collision",
     "is_distinguishing",
     "string_table",
-    "DistanceProfile",
     "TupletClass",
     "TupletClasses",
     "counting_lower_bound",
     "distance_profile",
-    "idi_lower_bound",
     "multipartite_binomial_bound",
     "tuplet_classes",
     "IdIndexCertificate",
     "IdNumberResult",
     "Partition",
-    "SearchLimits",
     "certificate_ranks",
     "greedy_upper_bound",
     "id_index_exact",
     "id_number_exact",
     "partition_distinguishes",
-    "partition_of_ranks",
     "to_restricted_growth",
     "affine_transform",
     "coloring_to_ranks",

@@ -14,6 +14,11 @@ The ``lower_bound`` of ``compute`` and both the ``T`` and ``lower_bound``
 columns of ``sweep`` report the twin bound T; the exact search itself
 starts at the counting bound that ``analyze`` reports.
 
+This module alone knows the JSON formats: reports are streamed with
+``indent=2``, rank values and string entries are decimal strings (they can
+exceed any fixed-width integer), and ``verify --ranks`` reads
+``{"ranks": [<decimal string>, ...]}``.
+
 Exit codes: 0 success, 2 usage or input error, 3 search budget exhausted,
 4 internal invariant violation or other internal error, 5 sweep found a
 mismatch.
@@ -32,15 +37,10 @@ import json
 import random
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
-from .constructions import (
-    SpecMismatchError,
-    ZeroScaleError,
-    NotZeroOneError,
-    construct_assignment,
-    expected_id_index,
-)
+from .constructions import SpecMismatchError, construct_assignment, expected_id_index
 from .families import (
     FamilySpec,
     InvalidSpecError,
@@ -50,9 +50,9 @@ from .families import (
 )
 from .graphs import Graph, GraphError, all_pairs_distances, parse_edge_list
 from .solvers import (
+    DEFAULT_MAX_NODES,
     BudgetExceededError,
     InternalInvariantError,
-    SearchLimits,
     greedy_upper_bound,
     id_index_exact,
     id_number_exact,
@@ -63,16 +63,10 @@ from .strings_codes import (
     RankAssignment,
     RedWhiteColoring,
     first_collision,
-    rank_assignment_from_json,
     string_table,
     code_table,
 )
-from .structure import (
-    InvalidMultiplicitiesError,
-    counting_lower_bound,
-    distance_profile,
-    tuplet_classes,
-)
+from .structure import counting_lower_bound, distance_profile, tuplet_classes
 
 
 class _UsageError(Exception):
@@ -83,11 +77,8 @@ _INPUT_ERRORS = (
     GraphError,
     InvalidSpecError,
     SpecMismatchError,
-    ZeroScaleError,
-    NotZeroOneError,
     MissingRankError,
     NoRedVertexError,
-    InvalidMultiplicitiesError,
     _UsageError,
     ValueError,
     OSError,
@@ -116,24 +107,24 @@ def _node_budget(text: str) -> int:
     return value
 
 
-def _limits(args) -> SearchLimits:
-    if args.budget_nodes is not None:
-        return SearchLimits(max_nodes=args.budget_nodes)
-    return SearchLimits()
+def _decimal(values) -> list[str]:
+    """Rank values and string entries can exceed any fixed-width integer,
+    so the JSON reports carry them as decimal strings."""
+    return [str(x) for x in values]
 
 
 def _emit(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``obj`` as indented JSON, streamed rather than built as one
+    string, to ``path`` or stdout."""
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _cmd_compute(args) -> int:
     g, _ = _load_graph(args)
     if args.id_number:
-        res = id_number_exact(g, _limits(args))
+        res = id_number_exact(g, args.budget_nodes)
         _emit(
             {
                 "is_id_graph": res.is_id_graph,
@@ -144,20 +135,22 @@ def _cmd_compute(args) -> int:
         )
         return 0
     if args.heuristic:
-        k, cert = greedy_upper_bound(g, seed=args.seed)
-        _emit(
-            {
-                "k_upper": k,
-                "partition": list(cert.partition.assignment),
-                "ranks": [str(r) for r in cert.ranks.ranks],
-                "strings": [[str(x) for x in row] for row in cert.strings],
-                "lower_bound": cert.lower_bound,
-            },
-            args.json,
-        )
-        return 0
-    cert = id_index_exact(g, _limits(args))
-    _emit(cert.to_json(), args.json)
+        cert = greedy_upper_bound(g, seed=args.seed)
+    else:
+        cert = id_index_exact(g, args.budget_nodes)
+    obj = {
+        "k_upper" if args.heuristic else "k": cert.k,
+        "partition": list(cert.partition.assignment),
+        "ranks": _decimal(cert.ranks.ranks),
+        "strings": [_decimal(row) for row in cert.strings],
+        "lower_bound": cert.lower_bound,
+    }
+    if not args.heuristic:
+        obj["exhausted_k_minus_1"] = cert.infeasibility is not None
+        obj["nodes_searched"] = cert.nodes_searched
+    if cert.note is not None:
+        obj["note"] = cert.note
+    _emit(obj, args.json)
     return 0
 
 
@@ -175,7 +168,7 @@ def _cmd_verify(args) -> int:
         _emit(
             {
                 "diameter": dm.diameter,
-                "codes": [[str(x) for x in row] for row in codes],
+                "codes": [_decimal(row) for row in codes],
                 "id_coloring": pair is None,
                 "collision": list(pair) if pair else None,
             },
@@ -187,16 +180,20 @@ def _cmd_verify(args) -> int:
             raise _UsageError("--construct needs --family")
         ranks = construct_assignment(spec)
     elif args.ranks:
-        ranks = rank_assignment_from_json(json.loads(Path(args.ranks).read_text()))
+        obj = json.loads(Path(args.ranks).read_text())
+        try:
+            ranks = RankAssignment(tuple(int(r) for r in obj["ranks"]))
+        except (KeyError, TypeError, ValueError):
+            raise _UsageError("expected {'ranks': [<decimal string>, ...]}") from None
     else:
         raise _UsageError("need one of --ranks, --coloring, --construct")
     table = string_table(dm, ranks)
     pair = first_collision(table)
     _emit(
         {
-            "ranks": [str(r) for r in ranks.ranks],
+            "ranks": _decimal(ranks.ranks),
             "diameter": dm.diameter,
-            "strings": [[str(x) for x in row] for row in table],
+            "strings": [_decimal(row) for row in table],
             "distinguishing": pair is None,
             "collision": list(pair) if pair else None,
         },
@@ -210,7 +207,7 @@ def _cmd_analyze(args) -> int:
     dm = all_pairs_distances(g)
     tc = tuplet_classes(g)
     spheres = string_table(dm, RankAssignment((1,) * g.n))
-    profile = distance_profile(dm)
+    profile = distance_profile(spheres)
     _emit(
         {
             "n": g.n,
@@ -220,7 +217,7 @@ def _cmd_analyze(args) -> int:
             "tuplet_classes": [
                 {"members": list(c.members), "kind": c.kind} for c in tc.classes
             ],
-            "distance_profile": list(profile.counts) if profile.present else None,
+            "distance_profile": None if profile is None else list(profile),
         },
         args.json,
     )
@@ -230,7 +227,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_construct(args) -> int:
     spec = parse_family_spec(args.family)
     ranks = construct_assignment(spec)
-    _emit({"ranks": [str(r) for r in ranks.ranks]}, args.json)
+    _emit({"ranks": _decimal(ranks.ranks)}, args.json)
     return 0
 
 
@@ -289,11 +286,10 @@ def _cmd_sweep(args) -> int:
     rows = []
     mismatch = False
     runs, seed = _sweep_specs(args)
-    limits = _limits(args)
     timing = args.deterministic == "false"
     for family, params, g, spec in runs:
         started = time.perf_counter()
-        cert = id_index_exact(g, limits)
+        cert = id_index_exact(g, args.budget_nodes)
         millis = int((time.perf_counter() - started) * 1000) if timing else 0
         expected = expected_id_index(spec) if spec is not None else None
         if expected is None:
@@ -355,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", action="store_true", help="greedy upper bound")
     p.add_argument("--seed", type=int, default=0, help="seed for --heuristic splits")
     p.add_argument(
-        "--budget-nodes", type=_node_budget, help="search node budget (>= 1)"
+        "--budget-nodes",
+        type=_node_budget,
+        default=DEFAULT_MAX_NODES,
+        help="search node budget (>= 1)",
     )
     p.set_defaults(func=_cmd_compute)
 
@@ -386,7 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", help="random batch: n=..,count=..[,seed=..]")
     p.add_argument("--csv", help="write the CSV here instead of stdout")
     p.add_argument(
-        "--budget-nodes", type=_node_budget, help="search node budget (>= 1)"
+        "--budget-nodes",
+        type=_node_budget,
+        default=DEFAULT_MAX_NODES,
+        help="search node budget (>= 1)",
     )
     p.add_argument(
         "--deterministic",

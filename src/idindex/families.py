@@ -56,10 +56,6 @@ class VertexLayout:
 
     roles: tuple[tuple, ...]
 
-    def vertices_with(self, tag: str):
-        """Ids of all vertices whose role starts with ``tag``, ascending."""
-        return [v for v, role in enumerate(self.roles) if role[0] == tag]
-
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse the ``kind:params`` grammar used on the command line.

@@ -34,12 +34,15 @@ an explicit stack for both exact searches, in lexicographic order:
   are the running count differences, one digit per distance, and kills a
   branch as soon as the last vertex able to separate a pair is placed
   while that integer is zero on every class.
+
+Both searches raise ``BudgetExceededError`` after ``max_nodes`` search
+nodes, ``DEFAULT_MAX_NODES`` unless the caller gives a budget.  Results are
+plain values; ``cli`` writes them as JSON.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, DistanceMatrix, all_pairs_distances
@@ -74,11 +77,8 @@ class InternalInvariantError(Exception):
     """A solver result failed its own re-verification."""
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    """Budgets for the exact searches."""
-
-    max_nodes: int = 10_000_000
+# node budget of both exact searches unless the caller gives one
+DEFAULT_MAX_NODES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,6 @@ def to_restricted_growth(labels) -> Partition:
             seen[lab] = len(seen)
         out.append(seen[lab])
     return Partition(tuple(out), len(seen))
-
-
-def partition_of_ranks(f: RankAssignment) -> Partition:
-    """The equal-rank partition induced by an assignment."""
-    return to_restricted_growth(f.ranks)
 
 
 def partition_distinguishes(dm: DistanceMatrix, p: Partition):
@@ -177,20 +172,6 @@ class IdIndexCertificate:
     nodes_searched: int
     note: str | None = None
 
-    def to_json(self) -> dict:
-        obj = {
-            "k": self.k,
-            "partition": list(self.partition.assignment),
-            "ranks": [str(r) for r in self.ranks.ranks],
-            "strings": [[str(x) for x in row] for row in self.strings],
-            "lower_bound": self.lower_bound,
-            "exhausted_k_minus_1": self.infeasibility is not None,
-            "nodes_searched": self.nodes_searched,
-        }
-        if self.note is not None:
-            obj["note"] = self.note
-        return obj
-
 
 @dataclass(frozen=True)
 class IdNumberResult:
@@ -211,17 +192,17 @@ class _PairWatcher:
     The search keeps, per counted class ``c`` and per unordered non-twin
     pair (u, v) with ``key[u] == key[v]`` (other pairs always separate), one
     integer whose digit ``i-1`` in base ``2S+1`` is N_i(u, c) - N_i(v, c),
-    where ``S`` is the largest sphere, the most vertices any vertex sees at
-    one distance.  Each count lies in ``[0, S]``, so each digit lies in
-    ``[-S, S]``; balanced digits in that range are unique, and the integer
-    is 0 exactly when every count difference is.  ``updates[w]`` holds
-    ``(p, power[d(u, w)], power[d(v, w)])`` for the pairs whose integer
-    changes when ``w`` joins a class, with ``power[0] = 0`` since no vertex
-    counts itself; ``finalize_at[w]`` lists the pairs whose integers are
-    complete once ``w`` is placed.
+    where ``S`` is the largest sphere, the largest entry of ``spheres`` (the
+    string table under all-one ranks).  Each count lies in ``[0, S]``, so
+    each digit lies in ``[-S, S]``; balanced digits in that range are
+    unique, and the integer is 0 exactly when every count difference is.
+    ``updates[w]`` holds ``(p, power[d(u, w)], power[d(v, w)])`` for the
+    pairs whose integer changes when ``w`` joins a class, with ``power[0] =
+    0`` since no vertex counts itself; ``finalize_at[w]`` lists the pairs
+    whose integers are complete once ``w`` is placed.
     """
 
-    def __init__(self, dm: DistanceMatrix, tc: TupletClasses, key):
+    def __init__(self, dm: DistanceMatrix, tc: TupletClasses, spheres, key):
         n = len(dm.dist)
         dist = dm.dist
         self.n = n
@@ -242,7 +223,7 @@ class _PairWatcher:
             )
 
         # S, the largest sphere, bounds every count; balanced digits need 2S+1
-        base = 2 * max(max(Counter(row).values()) for row in dist) + 1
+        base = 2 * max(max(row, default=0) for row in spheres) + 1
         power = [0] + [base**i for i in range(dm.diameter)]
         self.pair_count = len(pairs)
         self.updates = [[] for _ in range(n)]
@@ -332,17 +313,16 @@ def _red_set_labels(n: int, r: int, w: int, used: int):
     return options
 
 
-def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCertificate:
+def id_index_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdIndexCertificate:
     """Minimum number of distinct ranks, with a verified certificate.
 
     Iterates the class count ``k`` upward from the sphere-counting lower
     bound, exhausting each level before moving on; the returned partition
     is the lexicographically least feasible restricted-growth string at the
     optimal ``k``.  Raises ``BudgetExceededError`` (with the certified
-    bracket) when the node budget runs out, ``DisconnectedError`` for
+    bracket) after ``max_nodes`` search nodes, ``DisconnectedError`` for
     disconnected input.
     """
-    limits = limits or SearchLimits()
     dm = all_pairs_distances(g)
     if g.n == 1:
         p = Partition((0,), 1)
@@ -361,18 +341,18 @@ def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCerti
     # pairs whose sphere sizes (strings under all-one ranks) differ always separate
     spheres = string_table(dm, RankAssignment((1,) * g.n))
     start = counting_lower_bound(spheres, lower)
-    watcher = _PairWatcher(dm, tc, spheres)
+    watcher = _PairWatcher(dm, tc, spheres, spheres)
     total_nodes = 0
     prev_level_nodes = 0
     for k in range(start, g.n + 1):
         assign, nodes = watcher.search_level(
-            _partition_labels, k, k, limits.max_nodes - total_nodes
+            _partition_labels, k, k, max_nodes - total_nodes
         )
         total_nodes += nodes
-        if total_nodes > limits.max_nodes:
-            upper, _ = _greedy_upper_bound(dm, tc, 0)
+        if total_nodes > max_nodes:
+            upper = _greedy_upper_bound(dm, tc, 0).k
             raise BudgetExceededError(
-                f"node budget {limits.max_nodes} exhausted; answer in [{k}, {upper}]",
+                f"node budget {max_nodes} exhausted; answer in [{k}, {upper}]",
                 lower=k,
                 upper=upper,
                 nodes=total_nodes,
@@ -406,31 +386,31 @@ def id_index_exact(g: Graph, limits: SearchLimits | None = None) -> IdIndexCerti
     raise InternalInvariantError("no identifying partition up to k = n")
 
 
-def id_number_exact(g: Graph, limits: SearchLimits | None = None) -> IdNumberResult:
+def id_number_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdNumberResult:
     """Smallest red set whose codes identify all vertices, if any.
 
     Searches red sets by increasing size, so the first hit is the
     lexicographically least minimum witness.  A counting bound of 3 or more
     (three or more mutual twins, for one) rules out every red set, so such
-    graphs are not identifiable at once.
+    graphs are not identifiable at once.  Raises ``BudgetExceededError``
+    after ``max_nodes`` search nodes over all red-set sizes.
     """
-    limits = limits or SearchLimits()
     dm = all_pairs_distances(g)
     tc = tuplet_classes(g)
     spheres = string_table(dm, RankAssignment((1,) * g.n))
     if counting_lower_bound(spheres, tc.max_size) >= 3:
         return IdNumberResult(False, None, None)
     # red-only codes can collide even where sphere sizes differ: watch all pairs
-    watcher = _PairWatcher(dm, tc, [0] * g.n)
+    watcher = _PairWatcher(dm, tc, spheres, [0] * g.n)
     total_nodes = 0
     for r in range(1, g.n + 1):
         labels, nodes = watcher.search_level(
-            _red_set_labels, r, 1, limits.max_nodes - total_nodes
+            _red_set_labels, r, 1, max_nodes - total_nodes
         )
         total_nodes += nodes
-        if total_nodes > limits.max_nodes:
+        if total_nodes > max_nodes:
             raise BudgetExceededError(
-                f"node budget {limits.max_nodes} exhausted at red-set size {r}",
+                f"node budget {max_nodes} exhausted at red-set size {r}",
                 nodes=total_nodes,
             )
         if labels is not None:
@@ -442,7 +422,7 @@ def id_number_exact(g: Graph, limits: SearchLimits | None = None) -> IdNumberRes
     return IdNumberResult(False, None, None)
 
 
-def greedy_upper_bound(g: Graph, seed: int = 0) -> tuple[int, IdIndexCertificate]:
+def greedy_upper_bound(g: Graph, seed: int = 0) -> IdIndexCertificate:
     """Verified upper bound by repeated class splitting.
 
     Starts from the coarsest twin-respecting partition (member ``j`` of
@@ -450,14 +430,15 @@ def greedy_upper_bound(g: Graph, seed: int = 0) -> tuple[int, IdIndexCertificate
     moves one endpoint of the first colliding pair into a fresh class.
     The endpoint is drawn with a seeded RNG among those whose class still
     has at least two members, so runs are reproducible.  All-singletons
-    always identifies, so this terminates with ``k <= n``.
+    always identifies, so this terminates with ``k <= n``; the bound is the
+    certificate's ``k``.
     """
     return _greedy_upper_bound(all_pairs_distances(g), tuplet_classes(g), seed)
 
 
 def _greedy_upper_bound(
     dm: DistanceMatrix, tc: TupletClasses, seed: int
-) -> tuple[int, IdIndexCertificate]:
+) -> IdIndexCertificate:
     """``greedy_upper_bound`` on distances and twin classes already computed."""
     rng = random.Random(seed)
     labels = [0] * len(dm.dist)
@@ -481,7 +462,7 @@ def _greedy_upper_bound(
         labels = list(p.assignment)
         labels[pick] = p.k  # fresh class
         p = to_restricted_growth(labels)
-    cert = IdIndexCertificate(
+    return IdIndexCertificate(
         k=p.k,
         partition=p,
         ranks=ranks,
@@ -490,4 +471,3 @@ def _greedy_upper_bound(
         infeasibility=None,
         nodes_searched=0,
     )
-    return p.k, cert

@@ -9,7 +9,8 @@ the 0/1 indicator assignment of the red set.
 
 An assignment (coloring) identifies the graph's vertices when all strings
 (codes) are pairwise distinct.  All arithmetic is exact; ranks may be
-arbitrarily large Python integers.
+arbitrarily large Python integers, which ``cli`` writes to JSON as decimal
+strings.
 """
 
 from __future__ import annotations
@@ -106,25 +107,3 @@ def is_distinguishing(table) -> bool:
     """True when all rows of a string table are pairwise distinct."""
     return first_collision(table) is None
 
-
-# serialization: rank values can exceed any fixed-width integer, so JSON
-# carries them as decimal strings
-
-
-def rank_assignment_to_json(f: RankAssignment) -> dict:
-    return {"ranks": [str(r) for r in f.ranks]}
-
-
-def rank_assignment_from_json(obj) -> RankAssignment:
-    try:
-        ranks = tuple(int(r) for r in obj["ranks"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("expected {'ranks': [<decimal string>, ...]}") from None
-    return RankAssignment(ranks)
-
-
-def string_table_to_json(diameter: int, table) -> dict:
-    return {
-        "diameter": diameter,
-        "strings": [[str(x) for x in row] for row in table],
-    }

@@ -4,14 +4,18 @@ Two vertices are *twins* when they have equal open neighbourhoods (an
 independent, non-adjacent group) or equal closed neighbourhoods (a mutually
 adjacent group).  Twins sit at equal distance from every other vertex, so
 two same-rank twins always receive identical strings; the size of the
-largest twin class is therefore a lower bound on how many distinct rank
-values any identifying assignment needs.  ``counting_lower_bound`` is
-never weaker: vertices with equal sphere sizes need distinct strings, and
-``k`` rank values allow only so many.
+largest twin class, ``tuplet_classes(g).max_size``, is therefore a lower
+bound T on how many distinct rank values any identifying assignment needs.
+``counting_lower_bound`` is never weaker: vertices with equal sphere sizes
+need distinct strings, and ``k`` rank values allow only so many.
 
 A graph is *distance regular in counts* here when every vertex sees the
 same number of vertices at each distance; that profile is what makes
 affine rank changes harmless and is recorded per graph when present.
+
+Both sphere-size functions take the caller's ``spheres``, the string table
+under all-one ranks (``string_table(dm, RankAssignment((1,) * n))``), so a
+caller that needs both counts the spheres once.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Graph, DistanceMatrix
-from .strings_codes import RankAssignment, string_table
+from .graphs import Graph
 
 
 class InvalidMultiplicitiesError(Exception):
@@ -88,11 +91,6 @@ def tuplet_classes(g: Graph) -> TupletClasses:
     return TupletClasses(tuple(classes), max_size)
 
 
-def idi_lower_bound(g: Graph) -> int:
-    """Largest twin class size (at least 1)."""
-    return tuplet_classes(g).max_size
-
-
 def counting_lower_bound(spheres, twin_bound: int) -> int:
     """Least ``k >= twin_bound`` leaving every vertex room for its own string.
 
@@ -117,25 +115,15 @@ def counting_lower_bound(spheres, twin_bound: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Per-distance vertex counts shared by all vertices, when they exist.
+def distance_profile(spheres) -> tuple[int, ...] | None:
+    """Per-distance vertex counts shared by all vertices, or None.
 
-    ``counts[i-1]`` is the number of vertices every vertex sees at distance
-    ``i``; ``counts`` is None when the counts differ between vertices.
+    ``spheres`` is the string table under all-one ranks; entry ``i-1`` of
+    the result is the number of vertices every vertex sees at distance
+    ``i``.  None means the counts differ between vertices.
     """
-
-    counts: tuple[int, ...] | None
-
-    @property
-    def present(self) -> bool:
-        return self.counts is not None
-
-
-def distance_profile(dm: DistanceMatrix) -> DistanceProfile:
-    # with every rank 1, a vertex's string counts the vertices on each sphere
-    rows = set(string_table(dm, RankAssignment((1,) * len(dm.dist))))
-    return DistanceProfile(rows.pop() if len(rows) == 1 else None)
+    rows = set(spheres)
+    return rows.pop() if len(rows) == 1 else None
 
 
 def multipartite_binomial_bound(multiplicities: dict[int, int]) -> int:

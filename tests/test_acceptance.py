@@ -192,7 +192,8 @@ def test_criterion_7_affine_transform_suite():
     for spec in pool:
         g = graph_of(spec)
         dm = all_pairs_distances(g)
-        assert distance_profile(dm).present, spec.label()
+        spheres = string_table(dm, RankAssignment((1,) * g.n))
+        assert distance_profile(spheres) is not None, spec.label()
         prepared.append((g, dm))
 
     rng = random.Random(CORPUS_SEED + 7)

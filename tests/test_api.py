@@ -1,8 +1,11 @@
+import inspect
+
 import idindex
 import idindex.solvers
 import idindex.strings_codes
+import idindex.structure
 
-# test-only oracles and removed aliases, kept in tests/corpus.py or deleted
+# test-only oracles and removed wrappers, kept in tests/corpus.py or deleted
 NOT_EXPORTED = [
     "id_index_oracle",
     "geometric_pool",
@@ -12,6 +15,10 @@ NOT_EXPORTED = [
     "PairProfile",
     "pair_profiles",
     "is_id_coloring",
+    "SearchLimits",
+    "DistanceProfile",
+    "idi_lower_bound",
+    "partition_of_ranks",
 ]
 
 
@@ -24,10 +31,14 @@ def test_every_exported_name_resolves():
 def test_test_only_names_are_not_in_the_library():
     for name in NOT_EXPORTED:
         assert name not in idindex.__all__
-        for module in (idindex, idindex.solvers, idindex.strings_codes):
+        modules = (idindex, idindex.solvers, idindex.strings_codes, idindex.structure)
+        for module in modules:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_search_limits_has_one_knob():
     # the node budget bounds both exact searches; the table limit is fixed
-    assert list(idindex.SearchLimits.__dataclass_fields__) == ["max_nodes"]
+    for search in (idindex.id_index_exact, idindex.id_number_exact):
+        params = inspect.signature(search).parameters
+        assert list(params) == ["g", "max_nodes"]
+        assert params["max_nodes"].default == idindex.solvers.DEFAULT_MAX_NODES

@@ -180,7 +180,7 @@ class TestCompute:
         assert json.loads(out)["k"] == 2
 
     def test_stray_solver_error_is_internal(self, capsys, monkeypatch):
-        def broken(g, limits):
+        def broken(g, max_nodes):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "id_index_exact", broken)

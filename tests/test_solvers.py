@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idindex import solvers
+from idindex import cli, solvers
 from idindex.families import generate, parse_family_spec
 from idindex.graphs import all_pairs_distances, build_graph
 from idindex.solvers import (
     BudgetExceededError,
     Partition,
-    SearchLimits,
     certificate_ranks,
     greedy_upper_bound,
     id_index_exact,
     id_number_exact,
     partition_distinguishes,
-    partition_of_ranks,
     to_restricted_growth,
 )
 from idindex.strings_codes import RankAssignment, is_distinguishing, string_table
@@ -84,7 +82,7 @@ class TestPartition:
         assert p == Partition((0, 1, 0, 2), 3)
 
     def test_partition_of_ranks(self):
-        p = partition_of_ranks(RankAssignment((5, 3, 5, 7)))
+        p = to_restricted_growth(RankAssignment((5, 3, 5, 7)).ranks)
         assert p == Partition((0, 1, 0, 2), 3)
 
 
@@ -183,7 +181,7 @@ class TestReduction:
         dm = all_pairs_distances(g)
         f = RankAssignment(tuple(vals[:n]))
         if is_distinguishing(string_table(dm, f)):
-            ok, _ = partition_distinguishes(dm, partition_of_ranks(f))
+            ok, _ = partition_distinguishes(dm, to_restricted_growth(f.ranks))
             assert ok
 
 
@@ -223,7 +221,7 @@ class TestIdIndexExact:
             cert = id_index_exact(g)
             dm = all_pairs_distances(g)
             assert cert.ranks.distinct_rank_count == cert.k
-            assert cert.partition == partition_of_ranks(cert.ranks)
+            assert cert.partition == to_restricted_growth(cert.ranks.ranks)
             assert cert.partition.k == cert.k
             assert is_distinguishing(string_table(dm, cert.ranks))
             assert cert.strings == string_table(dm, cert.ranks)
@@ -252,15 +250,15 @@ class TestIdIndexExact:
     def test_budget_gives_bracket(self):
         g = graph_for("prism:5")
         with pytest.raises(BudgetExceededError) as exc:
-            id_index_exact(g, SearchLimits(max_nodes=5))
+            id_index_exact(g, max_nodes=5)
         e = exc.value
         assert e.lower is not None and e.upper is not None
         assert e.lower <= 3 <= e.upper  # true value stays inside the bracket
         assert e.nodes > 0
 
-    def test_json_shape(self):
-        cert = id_index_exact(graph_for("path:3"))
-        obj = cert.to_json()
+    def test_json_shape(self, capsys):
+        assert cli.run(["compute", "--family", "path:3"]) == 0
+        obj = json.loads(capsys.readouterr().out)
         assert set(obj) == {
             "k",
             "partition",
@@ -390,7 +388,7 @@ class TestIdNumberExact:
 
     def test_node_budget(self):
         with pytest.raises(BudgetExceededError):
-            id_number_exact(graph_for("prism:8"), SearchLimits(max_nodes=1))
+            id_number_exact(graph_for("prism:8"), max_nodes=1)
 
     def test_size_budget(self, monkeypatch):
         # cycle:6 watches all 15 pairs, 90 table entries
@@ -405,16 +403,15 @@ class TestIdNumberExact:
 
 class TestGreedyUpperBound:
     def test_complete_graph_needs_all_singletons(self):
-        k, cert = greedy_upper_bound(graph_for("complete:5"))
-        assert k == 5 and cert.k == 5
+        assert greedy_upper_bound(graph_for("complete:5")).k == 5
 
     def test_witness_is_verified(self):
         for text in ["cycle:7", "petersen", "caterpillar:2,4,2,2,4,2"]:
             g = graph_for(text)
             dm = all_pairs_distances(g)
-            k, cert = greedy_upper_bound(g, seed=3)
+            cert = greedy_upper_bound(g, seed=3)
             assert is_distinguishing(string_table(dm, cert.ranks))
-            assert cert.k == k
+            assert cert.partition.k == cert.k
             assert cert.infeasibility is None
 
     def test_deterministic_per_seed(self):
@@ -425,7 +422,7 @@ class TestGreedyUpperBound:
         rng = random.Random(77)
         for _ in range(20):
             g = random_connected_graph(rng.randrange(3, 8), rng)
-            k, _ = greedy_upper_bound(g, seed=1)
+            k = greedy_upper_bound(g, seed=1).k
             cert = id_index_exact(g)
             assert cert.lower_bound <= cert.k <= k
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import idindex.cli as cli
 from idindex.families import generate, parse_family_spec
 from idindex.graphs import all_pairs_distances, build_graph
 from idindex.strings_codes import (
@@ -15,10 +16,7 @@ from idindex.strings_codes import (
     code_table,
     first_collision,
     is_distinguishing,
-    rank_assignment_from_json,
-    rank_assignment_to_json,
     string_table,
-    string_table_to_json,
 )
 
 from corpus import random_connected_graph
@@ -113,28 +111,43 @@ class TestCodeTable:
             assert not is_distinguishing(code_table(dm, RedWhiteColoring(4, red)))
 
 
+def verify_ranks(tmp_path, capsys, payload):
+    """Run ``verify --ranks`` on path:3 with ``payload`` as the ranks file."""
+    path = tmp_path / "ranks.json"
+    path.write_text(json.dumps(payload))
+    code = cli.run(["verify", "--family", "path:3", "--ranks", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 class TestSerialization:
+    """JSON carries ranks and strings as decimal strings; the CLI reads and
+    writes that form."""
+
     def test_distinct_rank_count(self):
         assert RankAssignment((1, 1, 2, 5)).distinct_rank_count == 3
         assert RankAssignment((3,)).distinct_rank_count == 1
 
-    def test_json_round_trip_preserves_big_ints(self):
+    def test_json_round_trip_preserves_big_ints(self, tmp_path, capsys):
         big = 23**40
-        f = RankAssignment((1, big, -7))
-        payload = rank_assignment_to_json(f)
-        assert payload == {"ranks": ["1", str(big), "-7"]}
-        assert json.loads(json.dumps(payload)) == payload
-        assert rank_assignment_from_json(payload) == f
+        payload = {"ranks": ["1", str(big), "-7"]}
+        code, out, err = verify_ranks(tmp_path, capsys, payload)
+        assert code == 0, err
+        obj = json.loads(out)
+        assert obj["ranks"] == ["1", str(big), "-7"]
+        assert obj["strings"][0] == [str(big), "-7"]
 
     @pytest.mark.parametrize("payload", [{}, {"ranks": ["1", "two"]}, {"ranks": 3}])
-    def test_from_json_rejects_garbage(self, payload):
-        with pytest.raises(ValueError):
-            rank_assignment_from_json(payload)
+    def test_from_json_rejects_garbage(self, tmp_path, capsys, payload):
+        code, out, err = verify_ranks(tmp_path, capsys, payload)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_string_table_json_uses_decimal_strings(self):
-        g, dm = dm_for("path:3")
-        table = string_table(dm, RankAssignment((10**30, 1, 1)))
-        obj = string_table_to_json(dm.diameter, table)
+    def test_string_table_json_uses_decimal_strings(self, tmp_path, capsys):
+        payload = {"ranks": [str(10**30), "1", "1"]}
+        code, out, err = verify_ranks(tmp_path, capsys, payload)
+        assert code == 0, err
+        obj = json.loads(out)
         assert obj["diameter"] == 2
         assert obj["strings"][1] == [str(10**30 + 1), "0"]
 

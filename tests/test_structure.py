@@ -9,7 +9,6 @@ from idindex.structure import (
     InvalidMultiplicitiesError,
     counting_lower_bound,
     distance_profile,
-    idi_lower_bound,
     multipartite_binomial_bound,
     tuplet_classes,
 )
@@ -113,13 +112,15 @@ class TestLowerBound:
         ],
     )
     def test_examples(self, text, bound):
-        assert idi_lower_bound(graph_for(text)) == bound
+        assert tuplet_classes(graph_for(text)).max_size == bound
+
+
+def spheres_for(g):
+    return string_table(all_pairs_distances(g), RankAssignment((1,) * g.n))
 
 
 def library_counting_bound(g):
-    dm = all_pairs_distances(g)
-    spheres = string_table(dm, RankAssignment((1,) * g.n))
-    return counting_lower_bound(spheres, tuplet_classes(g).max_size)
+    return counting_lower_bound(spheres_for(g), tuplet_classes(g).max_size)
 
 
 class TestCountingBound:
@@ -148,7 +149,7 @@ class TestCountingBound:
         for g in list(connected_corpus_up_to(5)) + random_corpus(200):
             bound = library_counting_bound(g)
             assert bound == reference_counting_bound(g)
-            assert idi_lower_bound(g) <= bound
+            assert tuplet_classes(g).max_size <= bound
             assert bound <= id_index_oracle(g, geometric_pool(g.n))
             if bound >= 3:
                 assert reference_id_number(g)[0] is False
@@ -167,15 +168,11 @@ class TestDistanceProfile:
         ],
     )
     def test_present(self, text, counts):
-        dm = all_pairs_distances(graph_for(text))
-        prof = distance_profile(dm)
-        assert prof.present and prof.counts == counts
+        assert distance_profile(spheres_for(graph_for(text))) == counts
 
     @pytest.mark.parametrize("text", ["path:3", "grid:2x3", "caterpillar:1,1"])
     def test_absent(self, text):
-        dm = all_pairs_distances(graph_for(text))
-        prof = distance_profile(dm)
-        assert not prof.present and prof.counts is None
+        assert distance_profile(spheres_for(graph_for(text))) is None
 
 
 class TestBinomialBound:
