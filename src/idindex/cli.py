@@ -33,6 +33,7 @@ is echoed in a CSV header comment so runs can be replayed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -403,12 +404,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser tree, built on the first ``run`` and kept: argparse keeps
+    no per-parse state on it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors itself
         return int(exc.code) if exc.code else 0
+    # rank values and string entries may have more decimal digits than the
+    # interpreter's int/str conversion limit; lift it for this call only
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except BudgetExceededError as exc:
@@ -423,6 +434,8 @@ def run(argv=None) -> int:
     except Exception as exc:  # RecursionError, MemoryError, any other defect
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def main() -> None:

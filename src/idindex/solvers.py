@@ -30,10 +30,12 @@ an explicit stack for both exact searches, in lexicographic order:
 * twins: vertices with equal open or closed neighbourhoods see every other
   vertex at equal distance, so two same-label twins can never separate;
 * pair watching: for each unordered pair that could ever collide, the
-  search keeps per counted class one exact integer whose balanced digits
-  are the running count differences, one digit per distance, and kills a
-  branch as soon as the last vertex able to separate a pair is placed
-  while that integer is zero on every class.
+  search keeps per counted class one fixed-width field whose balanced
+  digits are the running count differences, one digit per distance, and
+  kills a branch as soon as the last vertex able to separate a pair is
+  placed while that field is zero on every class.  The fields of one class
+  are packed into a single integer, so placing a vertex is one big-int add
+  and the pairs it completes are checked with one zero-field test.
 
 Both searches raise ``BudgetExceededError`` after ``max_nodes`` search
 nodes, ``DEFAULT_MAX_NODES`` unless the caller gives a budget.  Results are
@@ -43,7 +45,10 @@ plain values; ``cli`` writes them as JSON.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
+from operator import itemgetter
 
 from .graphs import Graph, DistanceMatrix, all_pairs_distances
 from .strings_codes import (
@@ -180,62 +185,118 @@ class IdNumberResult:
     coloring: RedWhiteColoring | None
 
 
-# refuse a watcher whose tables would exceed this many (pair, vertex)
-# entries, about 72 bytes each on 64-bit CPython 3.11 (a 3-tuple and its list
-# slot); cycle:120, watching every pair, needs 856,800
+# refuse a watcher of more than this many (pair, vertex) entries, the fields
+# of the n precomputed deltas, at most 72 bytes each (below); cycle:120,
+# watching every pair, needs 856,800
 _MAX_WATCH_ENTRIES = 4_000_000
+
+# precompute every vertex's packed delta only while one field takes at most
+# this many bytes, which keeps a watcher at the limit above within 288 MB;
+# wider fields are packed each time their vertex is placed or taken back
+_PRECOMPUTE_MAX_FIELD_BYTES = 72
 
 
 class _PairWatcher:
     """Shared per-graph structures for the level searches.
 
-    The search keeps, per counted class ``c`` and per unordered non-twin
-    pair (u, v) with ``key[u] == key[v]`` (other pairs always separate), one
-    integer whose digit ``i-1`` in base ``2S+1`` is N_i(u, c) - N_i(v, c),
-    where ``S`` is the largest sphere, the largest entry of ``spheres`` (the
-    string table under all-one ranks).  Each count lies in ``[0, S]``, so
-    each digit lies in ``[-S, S]``; balanced digits in that range are
-    unique, and the integer is 0 exactly when every count difference is.
-    ``updates[w]`` holds ``(p, power[d(u, w)], power[d(v, w)])`` for the
-    pairs whose integer changes when ``w`` joins a class, with ``power[0] =
-    0`` since no vertex counts itself; ``finalize_at[w]`` lists the pairs
-    whose integers are complete once ``w`` is placed.
+    The watched pairs are the unordered non-twin pairs (u, v) with ``key[u]
+    == key[v]`` (other pairs always separate).  Per counted class ``c`` the
+    search keeps one integer with one ``width``-bit field per pair, SWAR
+    style: pair ``p``'s field holds ``bias`` plus the number whose digit
+    ``i-1`` in base ``S+1`` is N_i(u, c) - N_i(v, c), where ``S`` is the
+    largest sphere, the largest entry of ``spheres`` (the string table under
+    all-one ranks).  Each digit lies in ``[-S, S]``, and a number with such
+    digits is 0 only if every digit is, so a field equals ``bias`` exactly
+    when the pair has the same counts on ``c``.  With ``d`` digits (the
+    diameter) the number lies in ``[-bias, bias]`` for ``bias = (S+1)^d -
+    1``, so a field stays in ``[0, 2 bias]`` and no add or subtract reaches
+    its neighbour; a guard bit on top, rounded up to whole bytes, keeps the
+    zero test exact.
+
+    ``pack(w)`` is the change of every field when ``w`` joins a class,
+    ``(S+1)^(d(u,w)-1) - (S+1)^(d(v,w)-1)`` per pair with ``(S+1)^-1`` read
+    as 0, since no vertex counts itself: placing ``w`` is one add, taking it
+    back one subtract.  ``deltas[w]`` holds it for every ``w``, or is None
+    when fields are wider than ``_PRECOMPUTE_MAX_FIELD_BYTES``.  Pairs are
+    numbered by the last vertex that tells their endpoints apart, so the
+    pairs complete once ``w`` is placed form one field range, and
+    ``finalize[w]`` holds its shift and masks.
     """
 
     def __init__(self, dm: DistanceMatrix, tc: TupletClasses, spheres, key):
         n = len(dm.dist)
-        dist = dm.dist
+        dist = self.dist = dm.dist
         self.n = n
 
         class_of = tc.class_index()
         self.twin_prev = [
             [u for u in range(v) if class_of[u] == class_of[v]] for v in range(n)
         ]
-        pairs = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if key[u] == key[v] and class_of[u] != class_of[v]
-        ]
-        if len(pairs) * n > _MAX_WATCH_ENTRIES:
+        groups: dict = {}
+        for v in range(n):
+            groups.setdefault(key[v], []).append(v)
+        pair_count = sum(
+            comb(len(members), 2)
+            - sum(comb(m, 2) for m in Counter(map(class_of.__getitem__, members)).values())
+            for members in groups.values()
+        )
+        if pair_count * n > _MAX_WATCH_ENTRIES:
             raise BudgetExceededError(
-                f"pair tables need {len(pairs) * n} entries, limit {_MAX_WATCH_ENTRIES}"
+                f"pair tables need {pair_count * n} entries, limit {_MAX_WATCH_ENTRIES}"
             )
+        pairs = []
+        for members in groups.values():
+            for i, u in enumerate(members):
+                for v in members[i + 1 :]:
+                    if class_of[u] != class_of[v]:
+                        du, dv = dist[u], dist[v]
+                        last = n - 1  # w = u and w = v always tell them apart
+                        while du[last] == dv[last]:
+                            last -= 1
+                        pairs.append((last, u, v))
+        pairs.sort()
+        self.pairs = [(u, v) for _, u, v in pairs]
+        # the pairs' u (v) distances from a row; two padding pairs (0, 0)
+        # make itemgetter return a tuple for any pair count, and they add
+        # the same chunks to both sides of a delta, which cancel
+        self.u_at = itemgetter(*(u for u, _ in self.pairs), 0, 0)
+        self.v_at = itemgetter(*(v for _, v in self.pairs), 0, 0)
 
-        # S, the largest sphere, bounds every count; balanced digits need 2S+1
-        base = 2 * max(max(row, default=0) for row in spheres) + 1
-        power = [0] + [base**i for i in range(dm.diameter)]
-        self.pair_count = len(pairs)
-        self.updates = [[] for _ in range(n)]
-        self.finalize_at = [[] for _ in range(n)]
-        for p, (u, v) in enumerate(pairs):
-            # w = u and w = v always enter: each sees itself at 0, the other not
-            for w in range(n):
-                i, j = dist[u][w], dist[v][w]
-                if i != j:
-                    self.updates[w].append((p, power[i], power[j]))
-                    last = w
-            self.finalize_at[last].append(p)
+        base = max(max(row, default=0) for row in spheres) + 1
+        self.bias = base**dm.diameter - 1
+        size = (2 * self.bias).bit_length() // 8 + 1  # bytes, guard bit included
+        self.width = 8 * size
+        self.chunk = [bytes(size)] + [
+            (base**i).to_bytes(size, "little") for i in range(dm.diameter)
+        ]
+
+        def repeat(field: int, m: int) -> int:
+            return int.from_bytes(field.to_bytes(size, "little") * m, "little")
+
+        self.bias_all = repeat(self.bias, len(pairs))
+        # finalize[w]: (shift, value mask, bias, guard bits, low bits) of the
+        # pairs complete once w is placed, or None
+        self.finalize = [None] * n
+        lo = 0
+        for w, m in sorted(Counter(last for last, _, _ in pairs).items()):
+            self.finalize[w] = (
+                lo * self.width,
+                (1 << m * self.width) - 1,
+                repeat(self.bias, m),
+                repeat(1 << self.width - 1, m),
+                repeat(1, m),
+            )
+            lo += m
+        self.deltas = None
+        if size <= _PRECOMPUTE_MAX_FIELD_BYTES:
+            self.deltas = [self.pack(w) for w in range(n)]
+
+    def pack(self, w: int) -> int:
+        """Every pair's field change when ``w`` joins a class, packed."""
+        row, chunk = self.dist[w], self.chunk
+        up = b"".join(itemgetter(*self.u_at(row))(chunk))
+        down = b"".join(itemgetter(*self.v_at(row))(chunk))
+        return int.from_bytes(up, "little") - int.from_bytes(down, "little")
 
     def search_level(self, rule, level: int, counted: int, budget: int):
         """First labelling in ``rule`` order that separates every pair.
@@ -245,12 +306,12 @@ class _PairWatcher:
         Returns ``(labels or None, nodes)``; ``nodes > budget`` if it ran out.
         """
         n = self.n
-        # rows[c][p]: pair p's integer for class c
-        rows = [[0] * self.pair_count for _ in range(counted)]
+        # packed[c]: every pair's field for class c
+        packed = [self.bias_all] * counted
         assign = [-1] * n
         nodes = 0
-        updates = self.updates
-        finalize_at = self.finalize_at
+        delta_of = self.pack if self.deltas is None else self.deltas.__getitem__
+        finalize = self.finalize
         twin_prev = self.twin_prev
 
         # pending[w]: the options of vertex w not tried yet; assign[w] is the
@@ -263,9 +324,7 @@ class _PairWatcher:
             if c >= 0:
                 assign[w] = -1
                 if c < counted:
-                    row = rows[c]
-                    for p, a, b in updates[w]:
-                        row[p] -= a - b
+                    packed[c] -= delta_of(w)
             if not pending[w]:
                 w -= 1
                 continue
@@ -279,20 +338,20 @@ class _PairWatcher:
                     return None, nodes
                 assign[w] = c
                 if c < counted:
-                    row = rows[c]
-                    for p, a, b in updates[w]:
-                        row[p] += a - b
-                for p in finalize_at[w]:
-                    for r in rows:
-                        if r[p]:
-                            break
-                    else:  # pair p is 0 on every class: it collides
-                        break
-                else:  # no pair finalised at w collides
-                    if w == n - 1:
-                        return assign, nodes
-                    w += 1
-                    pending[w] = rule(n, level, w, used)
+                    packed[c] += delta_of(w)
+                if finalize[w] is not None:
+                    shift, mask, bias, high, low = finalize[w]
+                    x = 0
+                    for y in packed:
+                        x |= ((y >> shift) & mask) ^ bias
+                    # a zero field of x, a pair equal on every class, keeps
+                    # its guard bit from being set after the subtract
+                    if ((x | high) - low) & high != high:
+                        continue
+                if w == n - 1:
+                    return assign, nodes
+                w += 1
+                pending[w] = rule(n, level, w, used)
         return None, nodes
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -250,6 +251,23 @@ class TestVerify:
         assert obj["distinguishing"] is False
         assert obj["collision"] == [0, 1]
 
+    def test_ranks_past_the_int_str_digit_limit(self, capsys, tmp_path):
+        # CPython refuses int/str conversions past 4,300 digits by default
+        limit = sys.get_int_max_str_digits()
+        long_rank = "1" + "0" * 5000
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"ranks": ["1", "2", long_rank]}))
+        obj = run_json(capsys, "verify", "--family", "path:3", "--ranks", str(path))
+        assert obj["ranks"] == ["1", "2", long_rank]
+        assert obj["distinguishing"] is True
+        # path:3 sums two ranks at distance 1 from the middle vertex
+        path = tmp_path / "nines.json"
+        path.write_text(json.dumps({"ranks": ["9" * 4300] * 3}))
+        obj = run_json(capsys, "verify", "--family", "path:3", "--ranks", str(path))
+        assert obj["strings"][1] == ["1" + "9" * 4299 + "8", "0"]
+        assert obj["strings"][0] == ["9" * 4300] * 2
+        assert sys.get_int_max_str_digits() == limit
+
     def test_coloring_file(self, capsys, tmp_path):
         path = tmp_path / "coloring.json"
         path.write_text(json.dumps({"red": [0]}))
@@ -435,6 +453,26 @@ class TestTopLevel:
             capsys, "compute", "--family", "path:3", "--format", "jsonl"
         )
         assert code == 2
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        assert cli.run(["compute", "--budget-nodes", "0"]) == 2
+        first = len(built)
+        assert first > 0
+        assert cli.run(["compute", "--family", "path:3"]) == 0
+        assert cli.run(["analyze", "--family", "cycle:5"]) == 0
+        assert len(built) == first
+        capsys.readouterr()
+        # later tests get a parser built from the real class
+        cli._parser.cache_clear()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -27,6 +27,7 @@ from corpus import (
     NoDistinguishingAssignmentError,
     TooLargeError,
     all_connected_graphs,
+    floyd_warshall,
     geometric_pool,
     id_index_oracle,
     random_connected_graph,
@@ -287,6 +288,15 @@ class TestSearchPins:
         assert list(cert.partition.assignment) == pin["partition"]
 
     def test_random_corpus(self):
+        self.check_random_corpus()
+
+    def test_random_corpus_packed_at_placement(self, monkeypatch):
+        # no delta precomputed: each is packed when its vertex is placed
+        monkeypatch.setattr(solvers, "_PRECOMPUTE_MAX_FIELD_BYTES", 0)
+        self.check_random_corpus()
+
+    @staticmethod
+    def check_random_corpus():
         pins = json.loads((GOLDEN / "search_random_corpus.json").read_text())
         for g, pin in zip(random_corpus(200), pins, strict=True):
             cert = id_index_exact(g)
@@ -296,6 +306,61 @@ class TestSearchPins:
             res = id_number_exact(g)
             red = sorted(res.coloring.red) if res.coloring else None
             assert (res.id_number, red) == (pin["id_number"], pin["red"])
+
+
+class TestPackedFields:
+    """White box: the packed integer of a class holds, in pair ``p``'s
+    field, ``bias`` plus the pair's count differences as base-``(S+1)``
+    digits."""
+
+    @pytest.mark.parametrize("precomputed", [True, False])
+    def test_fields_decode_to_count_differences(self, monkeypatch, precomputed):
+        if not precomputed:
+            monkeypatch.setattr(solvers, "_PRECOMPUTE_MAX_FIELD_BYTES", 0)
+        rng = random.Random(5)
+        for n in range(2, 6):
+            for g in all_connected_graphs(n):
+                dist = floyd_warshall(g)
+                diameter = max(map(max, dist))
+                largest_sphere = max(
+                    row.count(i) for row in dist for i in range(1, diameter + 1)
+                )
+                base = largest_sphere + 1
+                dm = all_pairs_distances(g)
+                spheres = string_table(dm, RankAssignment((1,) * n))
+                # a constant key watches every non-twin pair
+                tc = tuplet_classes(g)
+                watcher = solvers._PairWatcher(dm, tc, spheres, [0] * n)
+                twin = tc.class_index()
+                assert sorted(watcher.pairs) == [
+                    (u, v) for u in range(n) for v in range(u + 1, n) if twin[u] != twin[v]
+                ]
+                assert (watcher.deltas is not None) == precomputed
+                delta_of = watcher.pack if watcher.deltas is None else watcher.deltas.__getitem__
+                bias, width = watcher.bias, watcher.width
+                assert bias == base**diameter - 1
+                assert width > (2 * bias).bit_length()  # a guard bit on top
+                for _ in range(2):
+                    k = rng.randint(1, 3)
+                    labels = [rng.randrange(-1, k) for _ in range(n)]  # -1: unplaced
+                    for c in range(k):
+                        y = watcher.bias_all
+                        for w in range(n):
+                            if labels[w] == c:
+                                y += delta_of(w)
+                        counts = [
+                            [sum(labels[w] == c for w in range(n) if dist[x][w] == i)
+                             for i in range(diameter + 1)]
+                            for x in range(n)
+                        ]
+                        for p, (u, v) in enumerate(watcher.pairs):
+                            field = y >> p * width & ((1 << width) - 1)
+                            assert 0 <= field <= 2 * bias
+                            assert field - bias == sum(
+                                (counts[u][i] - counts[v][i]) * base ** (i - 1)
+                                for i in range(1, diameter + 1)
+                            )
+                        assert y >> len(watcher.pairs) * width == 0
 
 
 class TestIdIndexOracle:
@@ -380,6 +445,15 @@ class TestIdNumberExact:
         assert is_distinguishing(code_table(dm, res.coloring))
 
     def test_matches_reference(self):
+        self.check_matches_reference()
+
+    def test_matches_reference_packed_at_placement(self, monkeypatch):
+        # no delta precomputed: each is packed when its vertex is placed
+        monkeypatch.setattr(solvers, "_PRECOMPUTE_MAX_FIELD_BYTES", 0)
+        self.check_matches_reference()
+
+    @staticmethod
+    def check_matches_reference():
         graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
         for g in graphs + random_corpus(200):
             res = id_number_exact(g)
