@@ -18,15 +18,8 @@ from .graphs import (
     is_connected,
     parse_edge_list,
 )
-from .families import FamilySpec, VertexLayout, generate, parse_family_spec
-from .strings_codes import (
-    RankAssignment,
-    RedWhiteColoring,
-    code_table,
-    first_collision,
-    is_distinguishing,
-    string_table,
-)
+from .families import FamilySpec, generate, parse_family_spec
+from .strings_codes import code_table, first_collision, is_distinguishing, string_table
 from .structure import (
     TupletClass,
     TupletClasses,
@@ -37,7 +30,6 @@ from .structure import (
 )
 from .solvers import (
     IdIndexCertificate,
-    IdNumberResult,
     Partition,
     certificate_ranks,
     greedy_upper_bound,
@@ -48,7 +40,6 @@ from .solvers import (
 )
 from .constructions import (
     affine_transform,
-    coloring_to_ranks,
     construct_assignment,
     expected_id_index,
     normalize_two_valued,
@@ -65,11 +56,8 @@ __all__ = [
     "is_connected",
     "parse_edge_list",
     "FamilySpec",
-    "VertexLayout",
     "generate",
     "parse_family_spec",
-    "RankAssignment",
-    "RedWhiteColoring",
     "code_table",
     "first_collision",
     "is_distinguishing",
@@ -81,7 +69,6 @@ __all__ = [
     "multipartite_binomial_bound",
     "tuplet_classes",
     "IdIndexCertificate",
-    "IdNumberResult",
     "Partition",
     "certificate_ranks",
     "greedy_upper_bound",
@@ -90,7 +77,6 @@ __all__ = [
     "partition_distinguishes",
     "to_restricted_growth",
     "affine_transform",
-    "coloring_to_ranks",
     "construct_assignment",
     "expected_id_index",
     "normalize_two_valued",

@@ -16,8 +16,9 @@ starts at the counting bound that ``analyze`` reports.
 
 This module alone knows the JSON formats: reports are streamed with
 ``indent=2``, rank values and string entries are decimal strings (they can
-exceed any fixed-width integer), and ``verify --ranks`` reads
-``{"ranks": [<decimal string>, ...]}``.
+exceed any fixed-width integer), ``verify --ranks`` reads
+``{"ranks": [<decimal string>, ...]}`` and ``verify --coloring`` reads
+``{"red": [<id>, ...]}``; both lists take JSON integers or decimal strings.
 
 Exit codes: 0 success, 2 usage or input error, 3 search budget exhausted,
 4 internal invariant violation or other internal error, 5 sweep found a
@@ -61,11 +62,9 @@ from .solvers import (
 from .strings_codes import (
     MissingRankError,
     NoRedVertexError,
-    RankAssignment,
-    RedWhiteColoring,
+    code_table,
     first_collision,
     string_table,
-    code_table,
 )
 from .structure import counting_lower_bound, distance_profile, tuplet_classes
 
@@ -114,6 +113,17 @@ def _decimal(values) -> list[str]:
     return [str(x) for x in values]
 
 
+def _int_list(items) -> tuple[int, ...]:
+    """A JSON list of integers or decimal strings, read as integers.
+
+    Raises ``TypeError`` for anything else, bools and floats included, and
+    ``ValueError`` for a string that is not a decimal integer.
+    """
+    if not isinstance(items, list) or not all(type(x) in (int, str) for x in items):
+        raise TypeError("expected a list of integers or decimal strings")
+    return tuple(int(x) for x in items)
+
+
 def _emit(obj, path: str | None) -> None:
     """Write ``obj`` as indented JSON, streamed rather than built as one
     string, to ``path`` or stdout."""
@@ -125,12 +135,12 @@ def _emit(obj, path: str | None) -> None:
 def _cmd_compute(args) -> int:
     g, _ = _load_graph(args)
     if args.id_number:
-        res = id_number_exact(g, args.budget_nodes)
+        red = id_number_exact(g, args.budget_nodes)
         _emit(
             {
-                "is_id_graph": res.is_id_graph,
-                "id_number": res.id_number,
-                "red": sorted(res.coloring.red) if res.coloring else None,
+                "is_id_graph": red is not None,
+                "id_number": None if red is None else len(red),
+                "red": None if red is None else sorted(red),
             },
             args.json,
         )
@@ -142,7 +152,7 @@ def _cmd_compute(args) -> int:
     obj = {
         "k_upper" if args.heuristic else "k": cert.k,
         "partition": list(cert.partition.assignment),
-        "ranks": _decimal(cert.ranks.ranks),
+        "ranks": _decimal(cert.ranks),
         "strings": [_decimal(row) for row in cert.strings],
         "lower_bound": cert.lower_bound,
     }
@@ -161,10 +171,10 @@ def _cmd_verify(args) -> int:
     if args.coloring:
         obj = json.loads(Path(args.coloring).read_text())
         try:
-            red = frozenset(int(v) for v in obj["red"])
+            red = frozenset(_int_list(obj["red"]))
         except (KeyError, TypeError, ValueError):
             raise _UsageError("coloring file must look like {'red': [ids]}") from None
-        codes = code_table(dm, RedWhiteColoring(g.n, red))
+        codes = code_table(dm, red)
         pair = first_collision(codes)
         _emit(
             {
@@ -183,7 +193,7 @@ def _cmd_verify(args) -> int:
     elif args.ranks:
         obj = json.loads(Path(args.ranks).read_text())
         try:
-            ranks = RankAssignment(tuple(int(r) for r in obj["ranks"]))
+            ranks = _int_list(obj["ranks"])
         except (KeyError, TypeError, ValueError):
             raise _UsageError("expected {'ranks': [<decimal string>, ...]}") from None
     else:
@@ -192,7 +202,7 @@ def _cmd_verify(args) -> int:
     pair = first_collision(table)
     _emit(
         {
-            "ranks": _decimal(ranks.ranks),
+            "ranks": _decimal(ranks),
             "diameter": dm.diameter,
             "strings": [_decimal(row) for row in table],
             "distinguishing": pair is None,
@@ -207,7 +217,7 @@ def _cmd_analyze(args) -> int:
     g, _ = _load_graph(args)
     dm = all_pairs_distances(g)
     tc = tuplet_classes(g)
-    spheres = string_table(dm, RankAssignment((1,) * g.n))
+    spheres = string_table(dm, (1,) * g.n)
     profile = distance_profile(spheres)
     _emit(
         {
@@ -228,7 +238,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_construct(args) -> int:
     spec = parse_family_spec(args.family)
     ranks = construct_assignment(spec)
-    _emit({"ranks": _decimal(ranks.ranks)}, args.json)
+    _emit({"ranks": _decimal(ranks)}, args.json)
     return 0
 
 

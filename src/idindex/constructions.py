@@ -20,10 +20,8 @@ number when a known closed form pins it down, and None otherwise.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .families import FamilySpec, generate
-from .strings_codes import NoRedVertexError, RankAssignment, RedWhiteColoring
+from .strings_codes import NoRedVertexError
 
 
 class SpecMismatchError(Exception):
@@ -38,7 +36,7 @@ class NotZeroOneError(Exception):
     """Ranks are not a 0/1 indicator, so they name no coloring."""
 
 
-def construct_assignment(spec: FamilySpec) -> RankAssignment:
+def construct_assignment(spec: FamilySpec) -> tuple[int, ...]:
     """Closed-form assignment for ``spec``, on the canonical numbering."""
     if spec.kind == "multipartite":
         return _multipartite_ranks(spec)
@@ -51,8 +49,7 @@ def _multipartite_ranks(spec):
     sizes = spec.params
     if len(sizes) == 2 and sizes[0] == sizes[1]:
         n = sizes[0]
-        ranks = tuple(range(1, n + 1)) + tuple(range(2, n + 2))
-        return RankAssignment(ranks)
+        return tuple(range(1, n + 1)) + tuple(range(2, n + 2))
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise SpecMismatchError(
             f"no closed form for part sizes {sizes}: need strictly increasing "
@@ -61,7 +58,7 @@ def _multipartite_ranks(spec):
     ranks = []
     for m in sizes:
         ranks.extend(range(1, m + 1))
-    return RankAssignment(tuple(ranks))
+    return tuple(ranks)
 
 
 def _caterpillar_ranks(spec):
@@ -69,17 +66,17 @@ def _caterpillar_ranks(spec):
     n = len(counts)
     if any(counts[i] != counts[n - 1 - i] for i in range(n // 2)):
         raise SpecMismatchError(f"leaf counts {counts} are not mirror-symmetric")
-    _, layout = generate(spec)
+    _, roles = generate(spec)
     ranks = []
-    for role in layout.roles:
+    for role in roles:
         if role[0] == "spine":
             ranks.append(2 if role[1] == 0 else 1)
         else:
             ranks.append(role[2] + 1)  # leaves of one spine vertex get 1..L_i
-    return RankAssignment(tuple(ranks))
+    return tuple(ranks)
 
 
-def universal_assignment(n: int) -> RankAssignment:
+def universal_assignment(n: int) -> tuple[int, ...]:
     """Powers-of-two ranks: vertex ``j`` gets ``2^(j+1)``.
 
     Works on any graph, family member or not, at the cost of using ``n``
@@ -88,7 +85,7 @@ def universal_assignment(n: int) -> RankAssignment:
     vertices see the same vertices at every distance (they disagree about
     each other already).
     """
-    return RankAssignment(tuple(2 ** (j + 1) for j in range(n)))
+    return tuple(2 ** (j + 1) for j in range(n))
 
 
 def _universal_ranks(spec):
@@ -96,7 +93,9 @@ def _universal_ranks(spec):
     return universal_assignment(g.n)
 
 
-def affine_transform(f: RankAssignment, scale: int, offset: int) -> RankAssignment:
+def affine_transform(
+    ranks: tuple[int, ...], scale: int, offset: int
+) -> tuple[int, ...]:
     """Replace each rank r by ``scale * r + offset``; scale must be nonzero.
 
     On graphs where every vertex sees the same number of vertices at each
@@ -104,42 +103,31 @@ def affine_transform(f: RankAssignment, scale: int, offset: int) -> RankAssignme
     """
     if scale == 0:
         raise ZeroScaleError("scale 0 collapses all ranks")
-    return RankAssignment(tuple(scale * r + offset for r in f.ranks))
+    return tuple(scale * r + offset for r in ranks)
 
 
-def normalize_two_valued(f: RankAssignment) -> RankAssignment:
-    """Map a two-valued assignment onto 0/1, low value to 0.
+def normalize_two_valued(ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """Map a two-valued assignment onto 0/1, low value to 0, high to 1.
 
-    Solves ``scale * r + offset`` over the rationals for the unique affine
-    map sending the two values to 0 and 1 (the map's scale is nonzero, so
-    on distance-regular-count graphs identification is preserved).
+    This is the unique affine map sending the two values to 0 and 1; its
+    scale is nonzero, so on distance-regular-count graphs identification is
+    preserved.
     """
-    values = sorted(set(f.ranks))
+    values = set(ranks)
     if len(values) != 2:
         raise ValueError(f"expected exactly 2 distinct ranks, got {len(values)}")
-    r1, r2 = values
-    scale = Fraction(1, r2 - r1)
-    offset = -scale * r1
-    out = [scale * r + offset for r in f.ranks]
-    assert all(x.denominator == 1 for x in out)
-    return RankAssignment(tuple(int(x) for x in out))
+    hi = max(values)
+    return tuple(int(r == hi) for r in ranks)
 
 
-def coloring_to_ranks(c: RedWhiteColoring) -> RankAssignment:
-    """The 0/1 indicator assignment of a coloring's red set."""
-    if not c.red:
-        raise NoRedVertexError("coloring has no red vertex")
-    return c.indicator()
-
-
-def ranks_to_coloring(f: RankAssignment) -> RedWhiteColoring:
-    """Read a 0/1 assignment back as a coloring (red = rank 1)."""
-    if any(r not in (0, 1) for r in f.ranks):
-        raise NotZeroOneError(f"ranks {sorted(set(f.ranks))} are not all 0/1")
-    red = frozenset(v for v, r in enumerate(f.ranks) if r == 1)
+def ranks_to_coloring(ranks: tuple[int, ...]) -> frozenset[int]:
+    """Read a 0/1 assignment back as a red set (red = rank 1)."""
+    if any(r not in (0, 1) for r in ranks):
+        raise NotZeroOneError(f"ranks {sorted(set(ranks))} are not all 0/1")
+    red = frozenset(v for v, r in enumerate(ranks) if r == 1)
     if not red:
         raise NoRedVertexError("all ranks are 0")
-    return RedWhiteColoring(len(f.ranks), red)
+    return red
 
 
 def expected_id_index(spec: FamilySpec) -> int | None:

@@ -11,9 +11,9 @@ rank constructions and tests all agree on which vertex is which:
   ``path(m) x path(n)`` and prisms are ``cycle(n) x path(2)`` built through
   the same product routine.
 
-Alongside the graph, ``generate`` returns a :class:`VertexLayout` tagging
-each vertex with its structural role, so downstream code never has to
-re-derive the numbering conventions.
+Alongside the graph, ``generate`` returns ``roles``, a tuple indexed by
+vertex id that tags each vertex with its structural role, so downstream
+code never has to re-derive the numbering conventions.
 """
 
 from __future__ import annotations
@@ -48,13 +48,6 @@ class FamilySpec:
             a, b = self.params
             return f"product:({a.label()})x({b.label()})"
         return self.kind + ":" + ",".join(str(p) for p in self.params)
-
-
-@dataclass(frozen=True)
-class VertexLayout:
-    """Structural role tag for each vertex, indexed by vertex id."""
-
-    roles: tuple[tuple, ...]
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -165,7 +158,7 @@ def _validated(spec: FamilySpec) -> FamilySpec:
     return spec
 
 
-def generate(spec: FamilySpec) -> tuple[Graph, VertexLayout]:
+def generate(spec: FamilySpec) -> tuple[Graph, tuple[tuple, ...]]:
     """Build the graph and per-vertex role tags for a validated spec."""
     _validated(spec)
     return _GENERATORS[spec.kind](spec)
@@ -194,19 +187,19 @@ def random_connected_graph(n: int, rng: random.Random, edge_prob: float = 0.5) -
 def _path(spec):
     (n,) = spec.params
     g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    return g, VertexLayout(tuple(("path", i) for i in range(n)))
+    return g, tuple(("path", i) for i in range(n))
 
 
 def _cycle(spec):
     (n,) = spec.params
     g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    return g, VertexLayout(tuple(("cycle", i) for i in range(n)))
+    return g, tuple(("cycle", i) for i in range(n))
 
 
 def _complete(spec):
     (n,) = spec.params
     g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    return g, VertexLayout(tuple(("complete", i) for i in range(n)))
+    return g, tuple(("complete", i) for i in range(n))
 
 
 def _multipartite(spec):
@@ -225,7 +218,7 @@ def _multipartite(spec):
             for u in range(offsets[p], offsets[p] + sizes[p]):
                 for v in range(offsets[q], offsets[q] + sizes[q]):
                     edges.append((u, v))
-    return build_graph(n, edges), VertexLayout(tuple(roles))
+    return build_graph(n, edges), tuple(roles)
 
 
 def _product_edges(ga: Graph, gb: Graph):
@@ -244,14 +237,14 @@ def _product_edges(ga: Graph, gb: Graph):
 
 def _product(spec):
     sa, sb = spec.params
-    ga, la = generate(sa)
-    gb, lb = generate(sb)
+    ga, roles_a = generate(sa)
+    gb, roles_b = generate(sb)
     g = build_graph(ga.n * gb.n, _product_edges(ga, gb))
     roles = []
     for h in range(gb.n):
         for gvert in range(ga.n):
-            roles.append(("product", la.roles[gvert], lb.roles[h]))
-    return g, VertexLayout(tuple(roles))
+            roles.append(("product", roles_a[gvert], roles_b[h]))
+    return g, tuple(roles)
 
 
 def _grid(spec):
@@ -259,8 +252,7 @@ def _grid(spec):
     ga, _ = generate(FamilySpec("path", (m,)))
     gb, _ = generate(FamilySpec("path", (n,)))
     g = build_graph(m * n, _product_edges(ga, gb))
-    roles = tuple(("grid", v % m, v // m) for v in range(m * n))
-    return g, VertexLayout(roles)
+    return g, tuple(("grid", v % m, v // m) for v in range(m * n))
 
 
 def _prism(spec):
@@ -268,8 +260,7 @@ def _prism(spec):
     ga, _ = generate(FamilySpec("cycle", (n,)))
     gb, _ = generate(FamilySpec("path", (2,)))
     g = build_graph(2 * n, _product_edges(ga, gb))
-    roles = tuple(("prism", v % n, v // n) for v in range(2 * n))
-    return g, VertexLayout(roles)
+    return g, tuple(("prism", v % n, v // n) for v in range(2 * n))
 
 
 def _petersen(spec):
@@ -281,7 +272,7 @@ def _petersen(spec):
     roles = tuple(("outer", i) for i in range(5)) + tuple(
         ("inner", i) for i in range(5)
     )
-    return build_graph(10, edges), VertexLayout(roles)
+    return build_graph(10, edges), roles
 
 
 def _caterpillar(spec):
@@ -295,7 +286,7 @@ def _caterpillar(spec):
             edges.append((i, nxt))
             roles.append(("leaf", i, j))
             nxt += 1
-    return build_graph(nxt, edges), VertexLayout(tuple(roles))
+    return build_graph(nxt, edges), tuple(roles)
 
 
 _GENERATORS = {

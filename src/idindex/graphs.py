@@ -171,18 +171,18 @@ def _bfs_row(g: Graph, source: int):
 
 
 def is_connected(g: Graph) -> bool:
-    return all(d >= 0 for d in _bfs_row(g, 0))
+    return -1 not in _bfs_row(g, 0)
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; raises ``DisconnectedError`` when any pair
-    is unreachable."""
-    rows = []
-    diameter = 0
-    for v in range(g.n):
-        row = _bfs_row(g, v)
-        if any(d < 0 for d in row):
-            raise DisconnectedError(f"no path from vertex {v} to some vertex")
-        diameter = max(diameter, max(row))
-        rows.append(tuple(row))
-    return DistanceMatrix(tuple(rows), diameter)
+    is unreachable.
+
+    Vertex 0 reaches every vertex exactly when the graph is connected, so
+    only its row is checked.
+    """
+    first = _bfs_row(g, 0)
+    if -1 in first:
+        raise DisconnectedError("no path from vertex 0 to some vertex")
+    rows = (tuple(first),) + tuple(tuple(_bfs_row(g, v)) for v in range(1, g.n))
+    return DistanceMatrix(rows, max(map(max, rows)))

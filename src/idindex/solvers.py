@@ -51,14 +51,7 @@ from math import comb
 from operator import itemgetter
 
 from .graphs import Graph, DistanceMatrix, all_pairs_distances
-from .strings_codes import (
-    RankAssignment,
-    RedWhiteColoring,
-    code_table,
-    first_collision,
-    is_distinguishing,
-    string_table,
-)
+from .strings_codes import code_table, first_collision, is_distinguishing, string_table
 from .structure import TupletClasses, counting_lower_bound, tuplet_classes
 
 
@@ -135,11 +128,11 @@ def partition_distinguishes(dm: DistanceMatrix, p: Partition):
     return (pair is None), pair
 
 
-def certificate_ranks(p: Partition) -> RankAssignment:
+def certificate_ranks(p: Partition) -> tuple[int, ...]:
     """Geometric witness ranks: class ``c`` gets ``(n+1)^c``."""
     base = len(p.assignment) + 1
     powers = [base**c for c in range(p.k)]
-    return RankAssignment(tuple(powers[c] for c in p.assignment))
+    return tuple(powers[c] for c in p.assignment)
 
 
 @dataclass(frozen=True)
@@ -170,19 +163,12 @@ class IdIndexCertificate:
 
     k: int
     partition: Partition
-    ranks: RankAssignment
+    ranks: tuple[int, ...]
     strings: list[tuple[int, ...]]
     lower_bound: int
     infeasibility: InfeasibilityWitness | None
     nodes_searched: int
     note: str | None = None
-
-
-@dataclass(frozen=True)
-class IdNumberResult:
-    is_id_graph: bool
-    id_number: int | None
-    coloring: RedWhiteColoring | None
 
 
 # refuse a watcher of more than this many (pair, vertex) entries, the fields
@@ -398,7 +384,7 @@ def id_index_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdIndexCerti
     tc = tuplet_classes(g)
     lower = tc.max_size
     # pairs whose sphere sizes (strings under all-one ranks) differ always separate
-    spheres = string_table(dm, RankAssignment((1,) * g.n))
+    spheres = string_table(dm, (1,) * g.n)
     start = counting_lower_bound(spheres, lower)
     watcher = _PairWatcher(dm, tc, spheres, spheres)
     total_nodes = 0
@@ -445,20 +431,24 @@ def id_index_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdIndexCerti
     raise InternalInvariantError("no identifying partition up to k = n")
 
 
-def id_number_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdNumberResult:
-    """Smallest red set whose codes identify all vertices, if any.
+def id_number_exact(
+    g: Graph, max_nodes: int = DEFAULT_MAX_NODES
+) -> frozenset[int] | None:
+    """Smallest red set whose codes identify all vertices, or None.
 
-    Searches red sets by increasing size, so the first hit is the
-    lexicographically least minimum witness.  A counting bound of 3 or more
-    (three or more mutual twins, for one) rules out every red set, so such
-    graphs are not identifiable at once.  Raises ``BudgetExceededError``
-    after ``max_nodes`` search nodes over all red-set sizes.
+    None means the graph is not an ID graph; otherwise the ID number is the
+    size of the returned set.  Searches red sets by increasing size, so the
+    first hit is the lexicographically least minimum witness.  A counting
+    bound of 3 or more (three or more mutual twins, for one) rules out every
+    red set, so such graphs are not identifiable at once.  Raises
+    ``BudgetExceededError`` after ``max_nodes`` search nodes over all
+    red-set sizes.
     """
     dm = all_pairs_distances(g)
     tc = tuplet_classes(g)
-    spheres = string_table(dm, RankAssignment((1,) * g.n))
+    spheres = string_table(dm, (1,) * g.n)
     if counting_lower_bound(spheres, tc.max_size) >= 3:
-        return IdNumberResult(False, None, None)
+        return None
     # red-only codes can collide even where sphere sizes differ: watch all pairs
     watcher = _PairWatcher(dm, tc, spheres, [0] * g.n)
     total_nodes = 0
@@ -474,11 +464,10 @@ def id_number_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdNumberRes
             )
         if labels is not None:
             red = frozenset(v for v in range(g.n) if labels[v] == 0)
-            coloring = RedWhiteColoring(g.n, red)
-            if not is_distinguishing(code_table(dm, coloring)):
+            if not is_distinguishing(code_table(dm, red)):
                 raise InternalInvariantError("red set fails code re-verification")
-            return IdNumberResult(True, r, coloring)
-    return IdNumberResult(False, None, None)
+            return red
+    return None
 
 
 def greedy_upper_bound(g: Graph, seed: int = 0) -> IdIndexCertificate:

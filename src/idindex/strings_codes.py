@@ -1,21 +1,20 @@
 """Distance-sum strings and red-count codes.
 
-Fix a connected graph of diameter ``d``.  A rank assignment gives every
-vertex an integer; the *string* of vertex ``v`` is the d-vector whose i-th
-coordinate is the sum of the ranks of all vertices at distance exactly ``i``
-from ``v``.  A red/white coloring instead yields a *code*: the d-vector
-counting red vertices at each distance.  Codes are exactly the strings of
-the 0/1 indicator assignment of the red set.
+Fix a connected graph of diameter ``d``.  A rank assignment, a tuple of
+integers indexed by vertex, gives every vertex a rank; the *string* of
+vertex ``v`` is the d-vector whose i-th coordinate is the sum of the ranks
+of all vertices at distance exactly ``i`` from ``v``.  A red set, a
+frozenset of vertex ids, instead yields a *code*: the d-vector counting red
+vertices at each distance.  Codes are exactly the strings of the 0/1
+indicator assignment of the red set.
 
-An assignment (coloring) identifies the graph's vertices when all strings
+An assignment (red set) identifies the graph's vertices when all strings
 (codes) are pairwise distinct.  All arithmetic is exact; ranks may be
 arbitrarily large Python integers, which ``cli`` writes to JSON as decimal
 strings.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class MissingRankError(Exception):
@@ -28,28 +27,6 @@ class NoRedVertexError(Exception):
     """A coloring must have at least one red vertex."""
 
 
-@dataclass(frozen=True)
-class RankAssignment:
-    """Integer rank per vertex, indexed by vertex id."""
-
-    ranks: tuple[int, ...]
-
-    @property
-    def distinct_rank_count(self) -> int:
-        return len(set(self.ranks))
-
-
-@dataclass(frozen=True)
-class RedWhiteColoring:
-    """A red subset of the vertices 0..n-1."""
-
-    n: int
-    red: frozenset[int]
-
-    def indicator(self) -> RankAssignment:
-        return RankAssignment(tuple(1 if v in self.red else 0 for v in range(self.n)))
-
-
 def _check_length(values, n):
     if len(values) < n:
         raise MissingRankError(len(values))
@@ -57,14 +34,15 @@ def _check_length(values, n):
         raise ValueError(f"{len(values)} ranks for {n} vertices")
 
 
-def string_table(dm, f: RankAssignment) -> list[tuple[int, ...]]:
+def string_table(dm, ranks: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Strings of every vertex, as tuples of length ``dm.diameter``.
 
-    ``dm`` is the graph's :class:`~idindex.graphs.DistanceMatrix`.  The
-    one-vertex graph has diameter 0 and a single empty string.
+    ``dm`` is the graph's :class:`~idindex.graphs.DistanceMatrix` and
+    ``ranks[v]`` the rank of vertex ``v``.  The one-vertex graph has
+    diameter 0 and a single empty string.
     """
     n = len(dm.dist)
-    _check_length(f.ranks, n)
+    _check_length(ranks, n)
     d = dm.diameter
     table = []
     for v in range(n):
@@ -73,25 +51,24 @@ def string_table(dm, f: RankAssignment) -> list[tuple[int, ...]]:
         for w in range(n):
             i = dv[w]
             if i > 0:
-                row[i - 1] += f.ranks[w]
+                row[i - 1] += ranks[w]
         table.append(tuple(row))
     return table
 
 
-def code_table(dm, c: RedWhiteColoring) -> list[tuple[int, ...]]:
-    """Codes of every vertex under a red/white coloring.
+def code_table(dm, red: frozenset[int]) -> list[tuple[int, ...]]:
+    """Codes of every vertex under the red set ``red``.
 
     Identical to :func:`string_table` on the 0/1 indicator assignment;
-    raises ``NoRedVertexError`` for an all-white coloring.
+    raises ``NoRedVertexError`` for an empty set and ``ValueError`` for a
+    vertex outside ``0..n-1``.
     """
     n = len(dm.dist)
-    if c.n != n:
-        raise ValueError(f"coloring of {c.n} vertices for a {n}-vertex graph")
-    if not c.red:
+    if not red:
         raise NoRedVertexError("coloring has no red vertex")
-    if any(not (0 <= v < n) for v in c.red):
+    if any(not (0 <= v < n) for v in red):
         raise ValueError("red set mentions a vertex outside 0..n-1")
-    return string_table(dm, c.indicator())
+    return string_table(dm, tuple(1 if v in red else 0 for v in range(n)))
 
 
 def first_collision(table) -> tuple[int, int] | None:

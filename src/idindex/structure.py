@@ -14,8 +14,8 @@ same number of vertices at each distance; that profile is what makes
 affine rank changes harmless and is recorded per graph when present.
 
 Both sphere-size functions take the caller's ``spheres``, the string table
-under all-one ranks (``string_table(dm, RankAssignment((1,) * n))``), so a
-caller that needs both counts the spheres once.
+under all-one ranks (``string_table(dm, (1,) * n)``), so a caller that
+needs both counts the spheres once.
 """
 
 from __future__ import annotations

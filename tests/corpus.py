@@ -10,9 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from idindex import Graph, RankAssignment, build_graph, is_connected
+from idindex import Graph, build_graph, code_table, is_connected
 from idindex import all_pairs_distances, first_collision, is_distinguishing, string_table
-from idindex import RedWhiteColoring, code_table
 from idindex.families import random_connected_graph
 
 # master seed for the reproducible random corpus used across test modules
@@ -116,7 +115,7 @@ def id_index_oracle(g: Graph, pool, max_n: int = 8) -> int:
     dm = all_pairs_distances(g)
     for k in range(1, min(g.n, len(pool)) + 1):
         for rgs in restricted_growth_strings(g.n, k):
-            ranks = RankAssignment(tuple(pool[c] for c in rgs))
+            ranks = tuple(pool[c] for c in rgs)
             if is_distinguishing(string_table(dm, ranks)):
                 return k
     raise NoDistinguishingAssignmentError(
@@ -154,17 +153,15 @@ def reference_id_number(g: Graph):
 
     Tries the red sets of each size in ``itertools.combinations`` order and
     tests every full code table, sharing none of the solver's pruning.
-    Returns ``(is_id_graph, id_number, red)`` with ``red`` the
-    lexicographically least minimum red set as a sorted tuple, or
-    ``(False, None, None)`` when no coloring identifies.
+    Returns the lexicographically least minimum red set as a sorted tuple,
+    or None when no red set identifies.
     """
     dm = all_pairs_distances(g)
     for r in range(1, g.n + 1):
         for red in itertools.combinations(range(g.n), r):
-            coloring = RedWhiteColoring(g.n, frozenset(red))
-            if is_distinguishing(code_table(dm, coloring)):
-                return True, r, red
-    return False, None, None
+            if is_distinguishing(code_table(dm, frozenset(red))):
+                return red
+    return None
 
 
 def reference_counting_bound(g: Graph) -> int:

@@ -1,6 +1,8 @@
 import inspect
 
 import idindex
+import idindex.constructions
+import idindex.families
 import idindex.solvers
 import idindex.strings_codes
 import idindex.structure
@@ -19,6 +21,11 @@ NOT_EXPORTED = [
     "DistanceProfile",
     "idi_lower_bound",
     "partition_of_ranks",
+    "RankAssignment",
+    "RedWhiteColoring",
+    "IdNumberResult",
+    "VertexLayout",
+    "coloring_to_ranks",
 ]
 
 
@@ -31,7 +38,14 @@ def test_every_exported_name_resolves():
 def test_test_only_names_are_not_in_the_library():
     for name in NOT_EXPORTED:
         assert name not in idindex.__all__
-        modules = (idindex, idindex.solvers, idindex.strings_codes, idindex.structure)
+        modules = (
+            idindex,
+            idindex.constructions,
+            idindex.families,
+            idindex.solvers,
+            idindex.strings_codes,
+            idindex.structure,
+        )
         for module in modules:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 

@@ -250,6 +250,11 @@ class TestVerify:
         obj = run_json(capsys, "verify", "--family", "path:2", "--ranks", str(path))
         assert obj["distinguishing"] is False
         assert obj["collision"] == [0, 1]
+        # plain JSON integers are read too
+        path.write_text(json.dumps({"ranks": [1, -2]}))
+        obj = run_json(capsys, "verify", "--family", "path:2", "--ranks", str(path))
+        assert obj["ranks"] == ["1", "-2"]
+        assert obj["distinguishing"] is True
 
     def test_ranks_past_the_int_str_digit_limit(self, capsys, tmp_path):
         # CPython refuses int/str conversions past 4,300 digits by default
@@ -277,13 +282,18 @@ class TestVerify:
         assert obj["id_coloring"] is True
         assert obj["codes"] == [["0", "0"], ["1", "0"], ["0", "1"]]
 
-    def test_coloring_with_bad_vertex(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "payload",
+        [{"red": [9]}, {"red": [0.9]}, {"red": [True]}, {"red": "0"}],
+    )
+    def test_coloring_with_bad_vertex(self, capsys, tmp_path, payload):
         path = tmp_path / "coloring.json"
-        path.write_text(json.dumps({"red": [9]}))
-        code, _, _ = run_cli(
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(
             capsys, "verify", "--family", "path:3", "--coloring", str(path)
         )
-        assert code == 2
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_needs_some_input(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "path:3")

@@ -7,7 +7,6 @@ from idindex.constructions import (
     SpecMismatchError,
     ZeroScaleError,
     affine_transform,
-    coloring_to_ranks,
     construct_assignment,
     expected_id_index,
     normalize_two_valued,
@@ -17,13 +16,7 @@ from idindex.constructions import (
 from idindex.families import FamilySpec, generate, parse_family_spec
 from idindex.graphs import all_pairs_distances
 from idindex.solvers import id_index_exact
-from idindex.strings_codes import (
-    NoRedVertexError,
-    RankAssignment,
-    RedWhiteColoring,
-    is_distinguishing,
-    string_table,
-)
+from idindex.strings_codes import NoRedVertexError, is_distinguishing, string_table
 
 
 def spec_for(text):
@@ -38,14 +31,14 @@ def table_for(spec, f):
 class TestMultipartiteRoute:
     def test_strictly_increasing_parts(self):
         f = construct_assignment(spec_for("multipartite:1,2,3"))
-        assert f.ranks == (1, 1, 2, 1, 2, 3)
-        assert f.distinct_rank_count == 3
+        assert f == (1, 1, 2, 1, 2, 3)
+        assert len(set(f)) == 3
         assert is_distinguishing(table_for(spec_for("multipartite:1,2,3"), f))
 
     def test_balanced_bipartite_uses_shifted_run(self):
         f = construct_assignment(spec_for("multipartite:2,2"))
-        assert f.ranks == (1, 2, 2, 3)
-        assert f.distinct_rank_count == 3
+        assert f == (1, 2, 2, 3)
+        assert len(set(f)) == 3
 
     def test_balanced_bipartite_strings(self):
         f = construct_assignment(spec_for("multipartite:2,2"))
@@ -64,7 +57,7 @@ class TestMultipartiteRoute:
     def test_value_count_matches_known_optimum(self, text):
         spec = spec_for(text)
         f = construct_assignment(spec)
-        assert f.distinct_rank_count == expected_id_index(spec)
+        assert len(set(f)) == expected_id_index(spec)
         assert is_distinguishing(table_for(spec, f))
 
 
@@ -73,10 +66,10 @@ class TestCaterpillarRoute:
         spec = spec_for("caterpillar:2,4,2,2,4,2")
         f = construct_assignment(spec)
         # spine: 2 then all 1; per spine vertex, leaves count up from 1
-        assert f.ranks[:6] == (2, 1, 1, 1, 1, 1)
-        assert f.ranks[6:8] == (1, 2)
-        assert f.ranks[8:12] == (1, 2, 3, 4)
-        assert f.distinct_rank_count == 4
+        assert f[:6] == (2, 1, 1, 1, 1, 1)
+        assert f[6:8] == (1, 2)
+        assert f[8:12] == (1, 2, 3, 4)
+        assert len(set(f)) == 4
 
     def test_quoted_strings_of_middle_spine(self):
         spec = spec_for("caterpillar:2,4,2,2,4,2")
@@ -91,7 +84,7 @@ class TestCaterpillarRoute:
             spec = spec_for(text)
             f = construct_assignment(spec)
             assert is_distinguishing(table_for(spec, f))
-            assert f.distinct_rank_count == expected_id_index(spec)
+            assert len(set(f)) == expected_id_index(spec)
 
     def test_rejects_asymmetric_counts(self):
         with pytest.raises(SpecMismatchError):
@@ -104,11 +97,11 @@ class TestCaterpillarRoute:
         # leaf first coordinates stay below every spine first coordinate,
         # and the far end of the diameter is reachable only from end leaves
         spec = spec_for("caterpillar:2,4,2,2,4,2")
-        g, layout = generate(spec)
+        g, roles = generate(spec)
         f = construct_assignment(spec)
         table = string_table(all_pairs_distances(g), f)
         n_spine = 6
-        for v, role in enumerate(layout.roles):
+        for v, role in enumerate(roles):
             if role[0] == "spine":
                 assert table[v][0] >= 2
                 assert table[v][-1] == 0
@@ -124,7 +117,7 @@ class TestCaterpillarRoute:
 class TestUniversalRoute:
     def test_powers_of_two(self):
         f = construct_assignment(spec_for("cycle:4"))
-        assert f.ranks == (2, 4, 8, 16)
+        assert f == (2, 4, 8, 16)
 
     def test_direct_form_matches_spec_route(self):
         assert universal_assignment(4) == construct_assignment(spec_for("cycle:4"))
@@ -147,22 +140,22 @@ class TestUniversalRoute:
         spec = spec_for(text)
         f = construct_assignment(spec)
         g, _ = generate(spec)
-        assert f.distinct_rank_count == g.n
+        assert len(set(f)) == g.n
         assert is_distinguishing(table_for(spec, f))
 
 
 class TestAffine:
     def test_transform(self):
-        f = affine_transform(RankAssignment((1, 2)), 3, 5)
-        assert f.ranks == (8, 11)
+        f = affine_transform((1, 2), 3, 5)
+        assert f == (8, 11)
 
     def test_negative_scale(self):
-        f = affine_transform(RankAssignment((1, 2)), -1, 0)
-        assert f.ranks == (-1, -2)
+        f = affine_transform((1, 2), -1, 0)
+        assert f == (-1, -2)
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ZeroScaleError):
-            affine_transform(RankAssignment((1, 2)), 0, 7)
+            affine_transform((1, 2), 0, 7)
 
     def test_preserved_on_shared_sphere_sizes(self):
         # every vertex of the prism sees the same number at each distance,
@@ -178,13 +171,13 @@ class TestAffine:
             )
 
     def test_normalize_two_valued(self):
-        assert normalize_two_valued(RankAssignment((3, 7, 7))).ranks == (0, 1, 1)
-        assert normalize_two_valued(RankAssignment((-5, 11))).ranks == (0, 1)
+        assert normalize_two_valued((3, 7, 7)) == (0, 1, 1)
+        assert normalize_two_valued((-5, 11)) == (0, 1)
 
     @pytest.mark.parametrize("ranks", [(4, 4), (1, 2, 3)])
     def test_normalize_rejects_other_value_counts(self, ranks):
         with pytest.raises(ValueError):
-            normalize_two_valued(RankAssignment(ranks))
+            normalize_two_valued(ranks)
 
 
 class TestColoringBridge:
@@ -192,20 +185,16 @@ class TestColoringBridge:
         for n in range(1, 6):
             for r in range(1, n + 1):
                 for red in itertools.combinations(range(n), r):
-                    c = RedWhiteColoring(n, frozenset(red))
-                    assert ranks_to_coloring(coloring_to_ranks(c)) == c
-
-    def test_coloring_needs_red(self):
-        with pytest.raises(NoRedVertexError):
-            coloring_to_ranks(RedWhiteColoring(3, frozenset()))
+                    indicator = tuple(1 if v in red else 0 for v in range(n))
+                    assert ranks_to_coloring(indicator) == frozenset(red)
 
     def test_ranks_must_be_zero_one(self):
         with pytest.raises(NotZeroOneError):
-            ranks_to_coloring(RankAssignment((0, 2, 1)))
+            ranks_to_coloring((0, 2, 1))
 
     def test_all_zero_ranks_name_no_coloring(self):
         with pytest.raises(NoRedVertexError):
-            ranks_to_coloring(RankAssignment((0, 0)))
+            ranks_to_coloring((0, 0))
 
 
 class TestExpectedIdIndex:

@@ -89,9 +89,9 @@ class TestParseFamilySpec:
 
 class TestShapes:
     def test_path(self):
-        g, layout = generate(FamilySpec("path", (4,)))
+        g, roles = generate(FamilySpec("path", (4,)))
         assert g.n == 4 and g.edge_count == 3
-        assert layout.roles == (("path", 0), ("path", 1), ("path", 2), ("path", 3))
+        assert roles == (("path", 0), ("path", 1), ("path", 2), ("path", 3))
 
     def test_cycle(self):
         g, _ = generate(FamilySpec("cycle", (5,)))
@@ -107,10 +107,10 @@ class TestShapes:
         assert g.n == 1 and g.edge_count == 0
 
     def test_multipartite_blocks_consecutive(self):
-        g, layout = generate(FamilySpec("multipartite", (1, 2, 3)))
+        g, roles = generate(FamilySpec("multipartite", (1, 2, 3)))
         assert g.n == 6
         # parts occupy consecutive ids, in the given order
-        assert [r[:2] for r in layout.roles] == [
+        assert [r[:2] for r in roles] == [
             ("part", 0),
             ("part", 1),
             ("part", 1),
@@ -150,29 +150,29 @@ class TestShapes:
     def test_product_numbering(self):
         # pair (g, h) gets id h * |G| + g
         spec = FamilySpec("product", (FamilySpec("path", (3,)), FamilySpec("path", (2,))))
-        g, layout = generate(spec)
+        g, roles = generate(spec)
         assert g.n == 6
-        assert layout.roles[4] == ("product", ("path", 1), ("path", 1))
+        assert roles[4] == ("product", ("path", 1), ("path", 1))
         assert 1 in g.adj[4] and 3 in g.adj[4] and 5 in g.adj[4]
 
     def test_petersen(self):
-        g, layout = generate(FamilySpec("petersen"))
+        g, roles = generate(FamilySpec("petersen"))
         assert g.n == 10 and g.edge_count == 15
         assert all(g.degree(v) == 3 for v in range(10))
-        assert layout.roles[0] == ("outer", 0) and layout.roles[9] == ("inner", 4)
+        assert roles[0] == ("outer", 0) and roles[9] == ("inner", 4)
 
     def test_caterpillar_layout(self):
-        g, layout = generate(FamilySpec("caterpillar", (2, 3, 2, 0, 3)))
+        g, roles = generate(FamilySpec("caterpillar", (2, 3, 2, 0, 3)))
         assert g.n == 5 + 10
         # spine first, then leaves grouped by spine index ascending
-        assert [r[0] for r in layout.roles] == ["spine"] * 5 + ["leaf"] * 10
-        assert layout.roles[5] == ("leaf", 0, 0)
-        assert layout.roles[14] == ("leaf", 4, 2)
+        assert [r[0] for r in roles] == ["spine"] * 5 + ["leaf"] * 10
+        assert roles[5] == ("leaf", 0, 0)
+        assert roles[14] == ("leaf", 4, 2)
         assert set(g.adj[5]) == {0}
 
     def test_caterpillar_degree_split(self):
-        g, layout = generate(FamilySpec("caterpillar", (1, 2, 0, 1)))
-        for v, role in enumerate(layout.roles):
+        g, roles = generate(FamilySpec("caterpillar", (1, 2, 0, 1)))
+        for v, role in enumerate(roles):
             if role[0] == "spine":
                 assert g.degree(v) >= 2
             else:
@@ -186,8 +186,8 @@ class TestShapes:
     def test_every_vertex_has_one_role(self):
         for text in ["path:5", "grid:3x3", "petersen", "caterpillar:1,2,1",
                      "multipartite:2,2", "prism:4"]:
-            g, layout = generate(parse_family_spec(text))
-            assert len(layout.roles) == g.n
+            g, roles = generate(parse_family_spec(text))
+            assert len(roles) == g.n
 
     @pytest.mark.parametrize(
         "text",

@@ -123,12 +123,12 @@ class TestAllPairsDistances:
 
     def test_disconnected_raises(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(DisconnectedError):
+        with pytest.raises(DisconnectedError, match="no path from vertex 0"):
             all_pairs_distances(g)
 
     def test_isolated_vertex_raises(self):
         g = build_graph(3, [(0, 1)])
-        with pytest.raises(DisconnectedError):
+        with pytest.raises(DisconnectedError, match="no path from vertex 0"):
             all_pairs_distances(g)
 
 

@@ -20,7 +20,7 @@ from idindex.solvers import (
     partition_distinguishes,
     to_restricted_growth,
 )
-from idindex.strings_codes import RankAssignment, is_distinguishing, string_table
+from idindex.strings_codes import code_table, is_distinguishing, string_table
 from idindex.structure import tuplet_classes
 
 from corpus import (
@@ -83,7 +83,7 @@ class TestPartition:
         assert p == Partition((0, 1, 0, 2), 3)
 
     def test_partition_of_ranks(self):
-        p = to_restricted_growth(RankAssignment((5, 3, 5, 7)).ranks)
+        p = to_restricted_growth((5, 3, 5, 7))
         assert p == Partition((0, 1, 0, 2), 3)
 
 
@@ -145,13 +145,13 @@ class TestPartitionDistinguishes:
 
 class TestCertificateRanks:
     def test_geometric_values(self):
-        assert certificate_ranks(Partition((0, 0, 1), 2)).ranks == (1, 1, 4)
-        assert certificate_ranks(Partition((0,), 1)).ranks == (1,)
-        assert certificate_ranks(Partition((0, 1, 2), 3)).ranks == (1, 4, 16)
+        assert certificate_ranks(Partition((0, 0, 1), 2)) == (1, 1, 4)
+        assert certificate_ranks(Partition((0,), 1)) == (1,)
+        assert certificate_ranks(Partition((0, 1, 2), 3)) == (1, 4, 16)
 
     def test_base_size_scales_with_vertex_count(self):
         p = Partition((0, 1) + (0,) * 8, 2)
-        assert certificate_ranks(p).ranks[1] == 11
+        assert certificate_ranks(p)[1] == 11
 
 
 class TestReduction:
@@ -180,9 +180,9 @@ class TestReduction:
     def test_distinguishing_ranks_imply_distinguishing_partition(self, n, seed, vals):
         g = random_connected_graph(n, random.Random(seed))
         dm = all_pairs_distances(g)
-        f = RankAssignment(tuple(vals[:n]))
+        f = tuple(vals[:n])
         if is_distinguishing(string_table(dm, f)):
-            ok, _ = partition_distinguishes(dm, to_restricted_growth(f.ranks))
+            ok, _ = partition_distinguishes(dm, to_restricted_growth(f))
             assert ok
 
 
@@ -221,8 +221,8 @@ class TestIdIndexExact:
             g = graph_for(text)
             cert = id_index_exact(g)
             dm = all_pairs_distances(g)
-            assert cert.ranks.distinct_rank_count == cert.k
-            assert cert.partition == to_restricted_growth(cert.ranks.ranks)
+            assert len(set(cert.ranks)) == cert.k
+            assert cert.partition == to_restricted_growth(cert.ranks)
             assert cert.partition.k == cert.k
             assert is_distinguishing(string_table(dm, cert.ranks))
             assert cert.strings == string_table(dm, cert.ranks)
@@ -303,9 +303,9 @@ class TestSearchPins:
             assert (cert.k, cert.nodes_searched, list(cert.partition.assignment)) == (
                 pin["k"], pin["nodes_searched"], pin["partition"]
             )
-            res = id_number_exact(g)
-            red = sorted(res.coloring.red) if res.coloring else None
-            assert (res.id_number, red) == (pin["id_number"], pin["red"])
+            red = id_number_exact(g)
+            got = (None, None) if red is None else (len(red), sorted(red))
+            assert got == (pin["id_number"], pin["red"])
 
 
 class TestPackedFields:
@@ -327,7 +327,7 @@ class TestPackedFields:
                 )
                 base = largest_sphere + 1
                 dm = all_pairs_distances(g)
-                spheres = string_table(dm, RankAssignment((1,) * n))
+                spheres = string_table(dm, (1,) * n)
                 # a constant key watches every non-twin pair
                 tc = tuplet_classes(g)
                 watcher = solvers._PairWatcher(dm, tc, spheres, [0] * n)
@@ -410,39 +410,31 @@ class TestMonotoneFeasibility:
 
 class TestIdNumberExact:
     def test_path2(self):
-        res = id_number_exact(graph_for("path:2"))
-        assert res.is_id_graph and res.id_number == 1
-        assert res.coloring.red == frozenset({0})
+        assert id_number_exact(graph_for("path:2")) == frozenset({0})
 
     def test_path3(self):
-        res = id_number_exact(graph_for("path:3"))
-        assert res.is_id_graph and res.id_number == 1
+        red = id_number_exact(graph_for("path:3"))
+        assert red is not None and len(red) == 1
 
     @pytest.mark.parametrize("text", ["cycle:4", "multipartite:1,1,2", "petersen"])
     def test_non_id_graphs(self, text):
-        res = id_number_exact(graph_for(text))
-        assert not res.is_id_graph
-        assert res.id_number is None and res.coloring is None
+        assert id_number_exact(graph_for(text)) is None
 
     def test_path6_single_red_endpoint(self):
-        res = id_number_exact(graph_for("path:6"))
-        assert res.is_id_graph and res.id_number == 1
-        assert res.coloring.red == frozenset({0})
+        assert id_number_exact(graph_for("path:6")) == frozenset({0})
 
     def test_first_hit_is_minimum(self):
         from itertools import combinations
 
-        from idindex.strings_codes import RedWhiteColoring, code_table
-
         g = graph_for("cycle:6")
-        res = id_number_exact(g)
-        assert res.is_id_graph and res.id_number == 3
+        red = id_number_exact(g)
+        assert red is not None and len(red) == 3
         dm = all_pairs_distances(g)
-        for r in range(1, res.id_number):
-            for red in combinations(range(6), r):
-                table = code_table(dm, RedWhiteColoring(6, frozenset(red)))
+        for r in range(1, len(red)):
+            for smaller in combinations(range(6), r):
+                table = code_table(dm, frozenset(smaller))
                 assert not is_distinguishing(table)
-        assert is_distinguishing(code_table(dm, res.coloring))
+        assert is_distinguishing(code_table(dm, red))
 
     def test_matches_reference(self):
         self.check_matches_reference()
@@ -456,9 +448,8 @@ class TestIdNumberExact:
     def check_matches_reference():
         graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
         for g in graphs + random_corpus(200):
-            res = id_number_exact(g)
-            red = tuple(sorted(res.coloring.red)) if res.coloring else None
-            assert (res.is_id_graph, res.id_number, red) == reference_id_number(g)
+            red = id_number_exact(g)
+            assert (None if red is None else tuple(sorted(red))) == reference_id_number(g)
 
     def test_node_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -472,7 +463,7 @@ class TestIdNumberExact:
         with pytest.raises(BudgetExceededError):
             id_index_exact(graph_for("cycle:6"))
         monkeypatch.setattr(solvers, "_MAX_WATCH_ENTRIES", 90)
-        assert id_number_exact(graph_for("cycle:6")).id_number == 3
+        assert len(id_number_exact(graph_for("cycle:6"))) == 3
 
 
 class TestGreedyUpperBound:

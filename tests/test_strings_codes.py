@@ -11,8 +11,6 @@ from idindex.graphs import all_pairs_distances, build_graph
 from idindex.strings_codes import (
     MissingRankError,
     NoRedVertexError,
-    RankAssignment,
-    RedWhiteColoring,
     code_table,
     first_collision,
     is_distinguishing,
@@ -30,17 +28,17 @@ def dm_for(text):
 class TestStringTable:
     def test_two_vertices(self):
         g, dm = dm_for("path:2")
-        assert string_table(dm, RankAssignment((1, 2))) == [(2,), (1,)]
+        assert string_table(dm, (1, 2)) == [(2,), (1,)]
 
     def test_path3_distinct_under_two_values(self):
         g, dm = dm_for("path:3")
-        table = string_table(dm, RankAssignment((1, 1, 2)))
+        table = string_table(dm, (1, 1, 2))
         assert table == [(1, 2), (3, 0), (1, 1)]
         assert is_distinguishing(table)
 
     def test_cycle6_constant_ranks_collide(self):
         g, dm = dm_for("cycle:6")
-        table = string_table(dm, RankAssignment((1,) * 6))
+        table = string_table(dm, (1,) * 6)
         assert all(row == (2, 2, 1) for row in table)
         assert first_collision(table) == (0, 1)
 
@@ -48,33 +46,33 @@ class TestStringTable:
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         dm = all_pairs_distances(g)
         # v0/v2 and v1/v3 both collide; (0, 2) is reported
-        table = string_table(dm, RankAssignment((1, 2, 1, 2)))
+        table = string_table(dm, (1, 2, 1, 2))
         assert first_collision(table) == (0, 2)
 
     def test_entries_sum_over_spheres(self):
         g, dm = dm_for("petersen")
         rng = random.Random(5)
-        f = RankAssignment(tuple(rng.randrange(1, 50) for _ in range(10)))
+        f = tuple(rng.randrange(1, 50) for _ in range(10))
         table = string_table(dm, f)
         for v in range(g.n):
             for i in range(1, dm.diameter + 1):
-                expected = sum(f.ranks[u] for u in range(g.n) if dm.dist[v][u] == i)
+                expected = sum(f[u] for u in range(g.n) if dm.dist[v][u] == i)
                 assert table[v][i - 1] == expected
 
     def test_short_assignment_rejected(self):
         g, dm = dm_for("path:3")
         with pytest.raises(MissingRankError) as exc:
-            string_table(dm, RankAssignment((1, 2)))
+            string_table(dm, (1, 2))
         assert exc.value.vertex == 2
 
     def test_long_assignment_rejected(self):
         g, dm = dm_for("path:2")
         with pytest.raises(ValueError):
-            string_table(dm, RankAssignment((1, 2, 3)))
+            string_table(dm, (1, 2, 3))
 
     def test_single_vertex_empty_string(self):
         g, dm = dm_for("path:1")
-        table = string_table(dm, RankAssignment((7,)))
+        table = string_table(dm, (7,))
         assert table == [()]
         assert is_distinguishing(table)
 
@@ -82,33 +80,33 @@ class TestStringTable:
 class TestCodeTable:
     def test_path3_one_red_end(self):
         g, dm = dm_for("path:3")
-        table = code_table(dm, RedWhiteColoring(3, frozenset({0})))
+        table = code_table(dm, frozenset({0}))
         assert table == [(0, 0), (1, 0), (0, 1)]
         assert is_distinguishing(table)
 
     def test_indicator_matches_string_route(self):
         g, dm = dm_for("prism:4")
-        c = RedWhiteColoring(g.n, frozenset({0, 3, 5}))
-        assert code_table(dm, c) == string_table(dm, c.indicator())
+        red = frozenset({0, 3, 5})
+        indicator = tuple(1 if v in red else 0 for v in range(g.n))
+        assert code_table(dm, red) == string_table(dm, indicator)
 
     def test_no_red_rejected(self):
         g, dm = dm_for("cycle:4")
         with pytest.raises(NoRedVertexError):
-            code_table(dm, RedWhiteColoring(4, frozenset()))
+            code_table(dm, frozenset())
 
     def test_wrong_size_rejected(self):
         g, dm = dm_for("cycle:4")
-        with pytest.raises(ValueError):
-            code_table(dm, RedWhiteColoring(5, frozenset({0})))
-        with pytest.raises(ValueError):
-            code_table(dm, RedWhiteColoring(4, frozenset({7})))
+        for red in ({4}, {7}, {0, -1}):
+            with pytest.raises(ValueError, match="outside 0..n-1"):
+                code_table(dm, frozenset(red))
 
     def test_cycle4_has_no_id_coloring(self):
         # the antipodal symmetry defeats every red set
         g, dm = dm_for("cycle:4")
         for mask in range(1, 16):
             red = frozenset(v for v in range(4) if mask >> v & 1)
-            assert not is_distinguishing(code_table(dm, RedWhiteColoring(4, red)))
+            assert not is_distinguishing(code_table(dm, red))
 
 
 def verify_ranks(tmp_path, capsys, payload):
@@ -124,10 +122,6 @@ class TestSerialization:
     """JSON carries ranks and strings as decimal strings; the CLI reads and
     writes that form."""
 
-    def test_distinct_rank_count(self):
-        assert RankAssignment((1, 1, 2, 5)).distinct_rank_count == 3
-        assert RankAssignment((3,)).distinct_rank_count == 1
-
     def test_json_round_trip_preserves_big_ints(self, tmp_path, capsys):
         big = 23**40
         payload = {"ranks": ["1", str(big), "-7"]}
@@ -137,7 +131,17 @@ class TestSerialization:
         assert obj["ranks"] == ["1", str(big), "-7"]
         assert obj["strings"][0] == [str(big), "-7"]
 
-    @pytest.mark.parametrize("payload", [{}, {"ranks": ["1", "two"]}, {"ranks": 3}])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            {"ranks": ["1", "two"]},
+            {"ranks": 3},
+            {"ranks": [1.9, 2, 3]},
+            {"ranks": [True, "2", "3"]},
+            {"ranks": "123"},
+        ],
+    )
     def test_from_json_rejects_garbage(self, tmp_path, capsys, payload):
         code, out, err = verify_ranks(tmp_path, capsys, payload)
         assert code == 2 and out == ""
@@ -160,7 +164,7 @@ def graph_and_ranks(draw):
     ranks = draw(
         st.lists(st.integers(min_value=-50, max_value=50), min_size=n, max_size=n)
     )
-    return g, RankAssignment(tuple(ranks))
+    return g, tuple(ranks)
 
 
 class TestProperties:
@@ -170,16 +174,16 @@ class TestProperties:
         # summing a vertex's string gives the total rank of everyone else
         g, f = gr
         dm = all_pairs_distances(g)
-        total = sum(f.ranks)
+        total = sum(f)
         for v, row in enumerate(string_table(dm, f)):
-            assert sum(row) == total - f.ranks[v]
+            assert sum(row) == total - f[v]
 
     @settings(derandomize=True, max_examples=60)
     @given(graph_and_ranks(), st.integers(min_value=1, max_value=9))
     def test_scaling_preserves_collisions(self, gr, scale):
         g, f = gr
         dm = all_pairs_distances(g)
-        scaled = RankAssignment(tuple(scale * r for r in f.ranks))
+        scaled = tuple(scale * r for r in f)
         assert is_distinguishing(string_table(dm, f)) == is_distinguishing(
             string_table(dm, scaled)
         )
@@ -189,7 +193,7 @@ class TestProperties:
     def test_constant_ranks_distinguish_iff_sphere_sizes_do(self, n, value):
         g = random_connected_graph(n, random.Random(n * 7919 + value))
         dm = all_pairs_distances(g)
-        table = string_table(dm, RankAssignment((value,) * n))
+        table = string_table(dm, (value,) * n)
         counts = {
             tuple(
                 sum(1 for u in range(n) if dm.dist[v][u] == i)
