@@ -14,9 +14,11 @@ The ``lower_bound`` of ``compute`` and both the ``T`` and ``lower_bound``
 columns of ``sweep`` report the twin bound T; the exact search itself
 starts at the counting bound that ``analyze`` reports.
 
-This module alone knows the JSON formats: reports are streamed with
-``indent=2``, rank values and string entries are decimal strings (they can
-exceed any fixed-width integer), ``verify --ranks`` reads
+This module alone knows the JSON formats: reports are the bytes of
+``json.dump(report, fh, indent=2)`` plus a newline, written one key at a
+time and a string or code table one row at a time; rank values and string
+entries are decimal strings (they can exceed any fixed-width integer),
+``verify --ranks`` reads
 ``{"ranks": [<decimal string>, ...]}`` and ``verify --coloring`` reads
 ``{"red": [<id>, ...]}``; both lists take JSON integers or decimal strings.
 
@@ -107,10 +109,10 @@ def _node_budget(text: str) -> int:
     return value
 
 
-def _decimal(values) -> list[str]:
-    """Rank values and string entries can exceed any fixed-width integer,
-    so the JSON reports carry them as decimal strings."""
-    return [str(x) for x in values]
+class _Decimal(tuple):
+    """Integers a report writes as decimal strings: rank values and string
+    entries can exceed any fixed-width integer.  Holds either one row of
+    integers (a list of strings in the JSON) or a table of such rows."""
 
 
 def _int_list(items) -> tuple[int, ...]:
@@ -124,12 +126,40 @@ def _int_list(items) -> tuple[int, ...]:
     return tuple(int(x) for x in items)
 
 
-def _emit(obj, path: str | None) -> None:
-    """Write ``obj`` as indented JSON, streamed rather than built as one
-    string, to ``path`` or stdout."""
+def _decimal_row(row, pad: str) -> str:
+    """One row of integers as a JSON list of decimal strings whose items sit
+    at ``pad``.  Decimal strings need no escaping."""
+    if not row:
+        return "[]"
+    return f'[\n{pad}"' + f'",\n{pad}"'.join(map(str, row)) + f'"\n{pad[:-2]}]'
+
+
+def _emit(obj: dict, path: str | None) -> None:
+    """Write the report ``obj`` to ``path`` or stdout, byte for byte as
+    ``json.dump(obj, fh, indent=2)`` plus a newline would, with each
+    :class:`_Decimal` written as decimal strings.
+
+    The report goes out one key at a time and a table one row at a time,
+    each row one join: no string list of the whole table is built, and the
+    encoder's pure-Python path (it takes that path whenever ``indent`` is
+    set) handles only the small values.
+    """
     with open(path, "w") if path else nullcontext(sys.stdout) as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        sep = "{\n  "
+        for key, value in obj.items():
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            sep = ",\n  "
+            if not isinstance(value, _Decimal):
+                fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+            elif not value or type(value[0]) is int:
+                fh.write(_decimal_row(value, "    "))
+            else:
+                row_sep = "[\n    "
+                for row in value:
+                    fh.write(row_sep + _decimal_row(row, "      "))
+                    row_sep = ",\n    "
+                fh.write("\n  ]")
+        fh.write("\n}\n" if obj else "{}\n")
 
 
 def _cmd_compute(args) -> int:
@@ -152,8 +182,8 @@ def _cmd_compute(args) -> int:
     obj = {
         "k_upper" if args.heuristic else "k": cert.k,
         "partition": list(cert.partition.assignment),
-        "ranks": _decimal(cert.ranks),
-        "strings": [_decimal(row) for row in cert.strings],
+        "ranks": _Decimal(cert.ranks),
+        "strings": _Decimal(cert.strings),
         "lower_bound": cert.lower_bound,
     }
     if not args.heuristic:
@@ -179,7 +209,7 @@ def _cmd_verify(args) -> int:
         _emit(
             {
                 "diameter": dm.diameter,
-                "codes": [_decimal(row) for row in codes],
+                "codes": _Decimal(codes),
                 "id_coloring": pair is None,
                 "collision": list(pair) if pair else None,
             },
@@ -202,9 +232,9 @@ def _cmd_verify(args) -> int:
     pair = first_collision(table)
     _emit(
         {
-            "ranks": _decimal(ranks),
+            "ranks": _Decimal(ranks),
             "diameter": dm.diameter,
-            "strings": [_decimal(row) for row in table],
+            "strings": _Decimal(table),
             "distinguishing": pair is None,
             "collision": list(pair) if pair else None,
         },
@@ -238,7 +268,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_construct(args) -> int:
     spec = parse_family_spec(args.family)
     ranks = construct_assignment(spec)
-    _emit({"ranks": _decimal(ranks)}, args.json)
+    _emit({"ranks": _Decimal(ranks)}, args.json)
     return 0
 
 

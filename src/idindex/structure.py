@@ -102,13 +102,14 @@ def counting_lower_bound(spheres, twin_bound: int) -> int:
     ways, and row ``e`` follows from the class sizes, ``v``'s own class and
     rows ``1..e-1``.  So ``m`` vertices sharing a row have at most ``k *
     prod_{i<e} C(s_i + k - 1, k - 1)`` strings to share out, and ``k`` must
-    make that at least ``m``.
+    make that at least ``m``.  Every binomial is at least 1, so a group of
+    ``m <= k`` vertices always fits and its product is never formed.
     """
     groups = Counter(spheres)
     free = {row: [s for s in row if s][:-1] for row in groups}
     k = twin_bound
     while any(
-        m > k * math.prod(math.comb(s + k - 1, k - 1) for s in free[row])
+        m > k and m > k * math.prod(math.comb(s + k - 1, k - 1) for s in free[row])
         for row, m in groups.items()
     ):
         k += 1

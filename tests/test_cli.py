@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idindex.cli as cli
 import idindex.solvers as solvers
@@ -23,6 +27,34 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def json_value(value):
+    """A report value with a ``cli._Decimal`` row or table replaced by the
+    lists of decimal strings it stands for."""
+    if not isinstance(value, cli._Decimal):
+        return value
+    if value and type(value[0]) is not int:
+        return [[str(x) for x in row] for row in value]
+    return [str(x) for x in value]
+
+
+def dumped(obj):
+    """What ``json.dump(report, fh, indent=2)`` plus a newline writes."""
+    return json.dumps({key: json_value(v) for key, v in obj.items()}, indent=2) + "\n"
+
+
+def record_reports(monkeypatch):
+    """Record, for every report the CLI emits, the ``json.dump`` bytes."""
+    expected = []
+    emit = cli._emit
+
+    def recording(obj, path):
+        expected.append(dumped(obj))  # inside cli.run, past the digit limit
+        emit(obj, path)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    return expected
 
 
 def count_bfs_and_twins(monkeypatch):
@@ -447,6 +479,84 @@ class TestSweep:
     def test_usage_errors(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+
+json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+decimal_rows = st.lists(st.integers(), max_size=6).map(cli._Decimal)
+decimal_tables = st.lists(st.lists(st.integers(), max_size=6).map(tuple), max_size=6).map(
+    cli._Decimal
+)
+
+
+class TestReportWriter:
+    """``cli._emit`` writes the bytes ``json.dump(report, fh, indent=2)``
+    would, with every ``_Decimal`` as lists of decimal strings."""
+
+    FILES = {
+        "NEGATIVE": {"ranks": ["-3", "5", "-7"]},
+        "LONG": {"ranks": ["1", "2", "1" + "0" * 5000]},
+        "NINES": {"ranks": ["9" * 4300] * 3},  # a string entry of 4,301 digits
+        "RED": {"red": [0]},
+        "COLLIDING": {"red": [1]},
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--family", "petersen"),
+            ("compute", "--family", "path:1"),  # strings [[]] and a note
+            ("compute", "--family", "grid:4x5", "--heuristic", "--seed", "3"),
+            ("compute", "--family", "path:1", "--heuristic"),
+            ("compute", "--family", "petersen", "--id-number"),
+            ("compute", "--family", "cycle:4", "--id-number"),  # None values
+            ("verify", "--family", "path:3", "--ranks", "NEGATIVE"),
+            ("verify", "--family", "path:3", "--ranks", "LONG"),
+            ("verify", "--family", "path:3", "--ranks", "NINES"),
+            ("verify", "--family", "path:3", "--coloring", "RED"),
+            ("verify", "--family", "path:3", "--coloring", "COLLIDING"),
+            ("verify", "--family", "caterpillar:2,4,2,2,4,2", "--construct"),
+            ("analyze", "--family", "multipartite:1,1,2"),
+            ("analyze", "--family", "path:4"),  # no distance profile
+            ("analyze", "--family", "path:1"),  # an empty one
+            ("construct", "--family", "multipartite:2,2"),
+        ],
+    )
+    def test_every_report_shape(self, capsys, monkeypatch, tmp_path, argv):
+        for name, payload in self.FILES.items():
+            (tmp_path / name).write_text(json.dumps(payload))
+        argv = [str(tmp_path / a) if a in self.FILES else a for a in argv]
+        expected = record_reports(monkeypatch)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert [out] == expected
+
+    def test_json_file_target(self, capsys, monkeypatch, tmp_path):
+        expected = record_reports(monkeypatch)
+        target = tmp_path / "report.json"
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "grid:4x5", "--json", str(target)
+        )
+        assert code == 0 and out == "", err
+        assert [target.read_text()] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(), json_values | decimal_rows | decimal_tables, max_size=6))
+    def test_drawn_reports(self, report):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            cli._emit(report, None)
+        assert buffer.getvalue() == dumped(report)
+
+    def test_large_diameter_rows(self, capsys):
+        # path:600 streams 600 rows of 599 entries each
+        code, out, err = run_cli(capsys, "compute", "--family", "path:600")
+        assert code == 0, err
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestTopLevel:

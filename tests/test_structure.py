@@ -1,9 +1,12 @@
 import itertools
+import math
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from idindex.families import parse_family_spec, generate
-from idindex.graphs import all_pairs_distances, build_graph
+from idindex.graphs import all_pairs_distances, build_graph, parse_edge_list
 from idindex.strings_codes import string_table
 from idindex.structure import (
     InvalidMultiplicitiesError,
@@ -123,6 +126,38 @@ def library_counting_bound(g):
     return counting_lower_bound(spheres_for(g), tuplet_classes(g).max_size)
 
 
+def unshortened_counting_bound(g):
+    """``counting_lower_bound`` with every group's product formed, including
+    those of groups no larger than ``k``."""
+    groups = Counter(spheres_for(g))
+    k = tuplet_classes(g).max_size
+    while any(
+        m > k * math.prod(math.comb(s + k - 1, k - 1) for s in [s for s in row if s][:-1])
+        for row, m in groups.items()
+    ):
+        k += 1
+    return k
+
+
+# every graph with a golden file or a search pin under tests/golden
+GOLDEN_SPECS = [
+    "petersen",
+    "product:(complete:4)x(complete:4)",
+    "product:(product:(product:(product:(path:2)x(path:2))x(path:2))x(path:2))"
+    "x(path:2)",
+    "prism:6",
+    "prism:8",
+    "grid:4x5",
+    "caterpillar:2,4,2,2,4,2",
+    "cycle:20",
+    "path:6",
+    "multipartite:1,1,2",
+    "cycle:120",
+    "grid:12x12",
+    "path:600",
+]
+
+
 class TestCountingBound:
     @pytest.mark.parametrize(
         "text,bound",
@@ -145,10 +180,19 @@ class TestCountingBound:
         if bound >= 3 and g.n <= 10:  # the brute force tries 2^n red sets
             assert reference_id_number(g) is None
 
+    @pytest.mark.parametrize("text", GOLDEN_SPECS + ["random12_seed3.txt"])
+    def test_golden_graphs_match_unshortened_bound(self, text):
+        if text.endswith(".txt"):
+            g = parse_edge_list((Path(__file__).parent / "golden" / text).read_text())
+        else:
+            g = graph_for(text)
+        assert library_counting_bound(g) == unshortened_counting_bound(g)
+
     def test_between_twin_bound_and_answer(self):
         for g in list(connected_corpus_up_to(5)) + random_corpus(200):
             bound = library_counting_bound(g)
             assert bound == reference_counting_bound(g)
+            assert bound == unshortened_counting_bound(g)
             assert tuplet_classes(g).max_size <= bound
             assert bound <= id_index_oracle(g, geometric_pool(g.n))
             if bound >= 3:
