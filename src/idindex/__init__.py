@@ -25,7 +25,6 @@ from .structure import (
     TupletClasses,
     counting_lower_bound,
     distance_profile,
-    multipartite_binomial_bound,
     tuplet_classes,
 )
 from .solvers import (
@@ -35,15 +34,11 @@ from .solvers import (
     greedy_upper_bound,
     id_index_exact,
     id_number_exact,
-    partition_distinguishes,
     to_restricted_growth,
 )
 from .constructions import (
-    affine_transform,
     construct_assignment,
     expected_id_index,
-    normalize_two_valued,
-    ranks_to_coloring,
     universal_assignment,
 )
 
@@ -66,7 +61,6 @@ __all__ = [
     "TupletClasses",
     "counting_lower_bound",
     "distance_profile",
-    "multipartite_binomial_bound",
     "tuplet_classes",
     "IdIndexCertificate",
     "Partition",
@@ -74,13 +68,9 @@ __all__ = [
     "greedy_upper_bound",
     "id_index_exact",
     "id_number_exact",
-    "partition_distinguishes",
     "to_restricted_growth",
-    "affine_transform",
     "construct_assignment",
     "expected_id_index",
-    "normalize_two_valued",
-    "ranks_to_coloring",
     "universal_assignment",
 ]
 

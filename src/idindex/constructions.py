@@ -21,19 +21,10 @@ number when a known closed form pins it down, and None otherwise.
 from __future__ import annotations
 
 from .families import FamilySpec, generate
-from .strings_codes import NoRedVertexError
 
 
 class SpecMismatchError(Exception):
     """The family spec does not fit any closed-form construction route."""
-
-
-class ZeroScaleError(Exception):
-    """Affine rescaling must have a nonzero scale."""
-
-
-class NotZeroOneError(Exception):
-    """Ranks are not a 0/1 indicator, so they name no coloring."""
 
 
 def construct_assignment(spec: FamilySpec) -> tuple[int, ...]:
@@ -91,43 +82,6 @@ def universal_assignment(n: int) -> tuple[int, ...]:
 def _universal_ranks(spec):
     g, _ = generate(spec)
     return universal_assignment(g.n)
-
-
-def affine_transform(
-    ranks: tuple[int, ...], scale: int, offset: int
-) -> tuple[int, ...]:
-    """Replace each rank r by ``scale * r + offset``; scale must be nonzero.
-
-    On graphs where every vertex sees the same number of vertices at each
-    distance, this preserves whether the assignment identifies.
-    """
-    if scale == 0:
-        raise ZeroScaleError("scale 0 collapses all ranks")
-    return tuple(scale * r + offset for r in ranks)
-
-
-def normalize_two_valued(ranks: tuple[int, ...]) -> tuple[int, ...]:
-    """Map a two-valued assignment onto 0/1, low value to 0, high to 1.
-
-    This is the unique affine map sending the two values to 0 and 1; its
-    scale is nonzero, so on distance-regular-count graphs identification is
-    preserved.
-    """
-    values = set(ranks)
-    if len(values) != 2:
-        raise ValueError(f"expected exactly 2 distinct ranks, got {len(values)}")
-    hi = max(values)
-    return tuple(int(r == hi) for r in ranks)
-
-
-def ranks_to_coloring(ranks: tuple[int, ...]) -> frozenset[int]:
-    """Read a 0/1 assignment back as a red set (red = rank 1)."""
-    if any(r not in (0, 1) for r in ranks):
-        raise NotZeroOneError(f"ranks {sorted(set(ranks))} are not all 0/1")
-    red = frozenset(v for v, r in enumerate(ranks) if r == 1)
-    if not red:
-        raise NoRedVertexError("all ranks are 0")
-    return red
 
 
 def expected_id_index(spec: FamilySpec) -> int | None:

@@ -20,12 +20,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graphs import Graph, build_graph, is_connected
 
 
 class InvalidSpecError(Exception):
     """Malformed or out-of-domain family description."""
+
+
+# products nest at most this deep: a deeper product whose factors all have
+# two or more vertices has more than 2^64 vertices
+_MAX_PRODUCT_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,10 @@ def parse_family_spec(text: str) -> FamilySpec:
     if not sep or not rest:
         raise InvalidSpecError(f"missing parameters in {text!r}")
     if kind == "product":
+        # each factor sits in its own parentheses, so their depth is the nesting
+        depth = max(accumulate((ch == "(") - (ch == ")") for ch in rest))
+        if depth > _MAX_PRODUCT_DEPTH:
+            raise InvalidSpecError(f"products nest at most {_MAX_PRODUCT_DEPTH} deep")
         return _validated(FamilySpec("product", _parse_factors(rest)))
     if kind == "grid":
         dims = rest.split("x")
@@ -164,12 +174,12 @@ def generate(spec: FamilySpec) -> tuple[Graph, tuple[tuple, ...]]:
     return _GENERATORS[spec.kind](spec)
 
 
-def random_connected_graph(n: int, rng: random.Random, edge_prob: float = 0.5) -> Graph:
-    """Seeded G(n, p) sample, made connected by adding absent edges."""
+def random_connected_graph(n: int, rng: random.Random) -> Graph:
+    """Seeded G(n, 1/2) sample, made connected by adding absent edges."""
     edges = set()
     for u in range(n):
         for v in range(u + 1, n):
-            if rng.random() < edge_prob:
+            if rng.random() < 0.5:
                 edges.add((u, v))
     g = build_graph(n, edges)
     while not is_connected(g):

@@ -61,19 +61,12 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def edges(self):
         """Yield each undirected edge once, as (u, v) with u < v."""
         for u in range(self.n):
             for v in self.adj[u]:
                 if u < v:
                     yield (u, v)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
 
 
 @dataclass(frozen=True)

@@ -114,20 +114,6 @@ def to_restricted_growth(labels) -> Partition:
     return Partition(tuple(out), len(seen))
 
 
-def partition_distinguishes(dm: DistanceMatrix, p: Partition):
-    """Whether the partition separates every vertex pair by counts.
-
-    By the reduction above, this holds exactly when the geometric
-    certificate ranks identify the graph.  Returns ``(True, None)`` or
-    ``(False, (u, v))`` with the lexicographically smallest colliding pair.
-    """
-    n = len(dm.dist)
-    if len(p.assignment) != n:
-        raise ValueError(f"partition of {len(p.assignment)} vertices on n={n}")
-    pair = first_collision(string_table(dm, certificate_ranks(p)))
-    return (pair is None), pair
-
-
 def certificate_ranks(p: Partition) -> tuple[int, ...]:
     """Geometric witness ranks: class ``c`` gets ``(n+1)^c``."""
     base = len(p.assignment) + 1

@@ -10,8 +10,8 @@ bound T on how many distinct rank values any identifying assignment needs.
 need distinct strings, and ``k`` rank values allow only so many.
 
 A graph is *distance regular in counts* here when every vertex sees the
-same number of vertices at each distance; that profile is what makes
-affine rank changes harmless and is recorded per graph when present.
+same number of vertices at each distance; ``distance_profile`` returns
+those counts, or None when vertices differ, and ``analyze`` reports it.
 
 Both sphere-size functions take the caller's ``spheres``, the string table
 under all-one ranks (``string_table(dm, (1,) * n)``), so a caller that
@@ -25,10 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph
-
-
-class InvalidMultiplicitiesError(Exception):
-    """Part-size multiplicities must be positive sizes, counts >= 0, >= 2 parts."""
 
 
 @dataclass(frozen=True)
@@ -103,16 +99,18 @@ def counting_lower_bound(spheres, twin_bound: int) -> int:
     rows ``1..e-1``.  So ``m`` vertices sharing a row have at most ``k *
     prod_{i<e} C(s_i + k - 1, k - 1)`` strings to share out, and ``k`` must
     make that at least ``m``.  Every binomial is at least 1, so a group of
-    ``m <= k`` vertices always fits and its product is never formed.
+    ``m <= k`` vertices always fits and its rows are never read.  A group's
+    room only grows with ``k``, so raising ``k`` until one group fits never
+    unfits the groups before it.
     """
-    groups = Counter(spheres)
-    free = {row: [s for s in row if s][:-1] for row in groups}
     k = twin_bound
-    while any(
-        m > k and m > k * math.prod(math.comb(s + k - 1, k - 1) for s in free[row])
-        for row, m in groups.items()
-    ):
-        k += 1
+    for row, m in Counter(spheres).items():
+        if m <= k:
+            continue
+        # s_1..s_{e-1}: drop sphere e and the zeros past it
+        free = row[: len(row) - row.count(0) - 1]
+        while m > k * math.prod(math.comb(s + k - 1, k - 1) for s in free):
+            k += 1
     return k
 
 
@@ -126,29 +124,3 @@ def distance_profile(spheres) -> tuple[int, ...] | None:
     rows = set(spheres)
     return rows.pop() if len(rows) == 1 else None
 
-
-def multipartite_binomial_bound(multiplicities: dict[int, int]) -> int:
-    """Least k admitting enough distinct rank multisets per part size.
-
-    ``multiplicities`` maps a part size ``i`` to how many parts of that size
-    the complete multipartite graph has.  Parts of equal size are twins as
-    blocks: each needs its own size-``i`` subset of the k rank values, so k
-    must satisfy C(k, i) >= multiplicity for every size ``i``, and k can
-    never be smaller than the largest part.
-    """
-    if not multiplicities:
-        raise InvalidMultiplicitiesError("no parts given")
-    total_parts = 0
-    for size, count in multiplicities.items():
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-            raise InvalidMultiplicitiesError(f"part size {size!r} must be >= 1")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise InvalidMultiplicitiesError(f"count for size {size} must be >= 0")
-        total_parts += count
-    if total_parts < 2:
-        raise InvalidMultiplicitiesError("need at least two parts in total")
-    active = {s: c for s, c in multiplicities.items() if c >= 1}
-    k = max(active)
-    while any(math.comb(k, size) < count for size, count in active.items()):
-        k += 1
-    return k

@@ -1,18 +1,22 @@
-"""Shared test corpus: exhaustive small graphs, seeded random graphs, and
-independent oracles the implementation must agree with.
+"""Shared test corpus: exhaustive small graphs, seeded random graphs,
+independent oracles the implementation must agree with, and the paper's
+lemma helpers the tests exercise.
 
-The oracles live here, not in the library: they are reference
-implementations the tests compare the solvers against.
+The oracles and helpers live here, not in the library: they are reference
+implementations the tests compare the solvers against, or statements about
+rank assignments that no solver or CLI path needs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from idindex import Graph, build_graph, code_table, is_connected
+from idindex import Graph, build_graph, certificate_ranks, code_table, is_connected
 from idindex import all_pairs_distances, first_collision, is_distinguishing, string_table
 from idindex.families import random_connected_graph
+from idindex.strings_codes import NoRedVertexError
 
 # master seed for the reproducible random corpus used across test modules
 CORPUS_SEED = 20250817
@@ -128,12 +132,28 @@ def geometric_pool(n: int) -> list[int]:
     return [(n + 1) ** c for c in range(n)]
 
 
+def partition_distinguishes(dm, p):
+    """Whether the partition separates every vertex pair by counts.
+
+    By the reduction in ``idindex.solvers``, this holds exactly when the
+    geometric certificate ranks identify the graph.  Returns ``(True,
+    None)`` or ``(False, (u, v))`` with the lexicographically smallest
+    colliding pair.
+    """
+    n = len(dm.dist)
+    if len(p.assignment) != n:
+        raise ValueError(f"partition of {len(p.assignment)} vertices on n={n}")
+    pair = first_collision(string_table(dm, certificate_ranks(p)))
+    return (pair is None), pair
+
+
 def reference_partition_distinguishes(dm, p):
     """``partition_distinguishes`` from the per-class sphere counts directly.
 
     Vertex ``v``'s row holds, for each distance ``i`` and class ``c``, the
-    number of class-``c`` vertices at distance ``i`` from ``v``; the library
-    instead compares the strings of the geometric certificate ranks.
+    number of class-``c`` vertices at distance ``i`` from ``v``;
+    ``partition_distinguishes`` instead compares the strings of the
+    geometric certificate ranks.
     """
     n = len(dm.dist)
     table = []
@@ -210,3 +230,79 @@ def reference_counting_bound(g: Graph) -> int:
         if fits:
             return k
         k += 1
+
+
+class ZeroScaleError(Exception):
+    """Affine rescaling must have a nonzero scale."""
+
+
+class NotZeroOneError(Exception):
+    """Ranks are not a 0/1 indicator, so they name no coloring."""
+
+
+def affine_transform(
+    ranks: tuple[int, ...], scale: int, offset: int
+) -> tuple[int, ...]:
+    """Replace each rank r by ``scale * r + offset``; scale must be nonzero.
+
+    On graphs where every vertex sees the same number of vertices at each
+    distance, this preserves whether the assignment identifies.
+    """
+    if scale == 0:
+        raise ZeroScaleError("scale 0 collapses all ranks")
+    return tuple(scale * r + offset for r in ranks)
+
+
+def normalize_two_valued(ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """Map a two-valued assignment onto 0/1, low value to 0, high to 1.
+
+    This is the unique affine map sending the two values to 0 and 1; its
+    scale is nonzero, so on distance-regular-count graphs identification is
+    preserved.
+    """
+    values = set(ranks)
+    if len(values) != 2:
+        raise ValueError(f"expected exactly 2 distinct ranks, got {len(values)}")
+    hi = max(values)
+    return tuple(int(r == hi) for r in ranks)
+
+
+def ranks_to_coloring(ranks: tuple[int, ...]) -> frozenset[int]:
+    """Read a 0/1 assignment back as a red set (red = rank 1)."""
+    if any(r not in (0, 1) for r in ranks):
+        raise NotZeroOneError(f"ranks {sorted(set(ranks))} are not all 0/1")
+    red = frozenset(v for v, r in enumerate(ranks) if r == 1)
+    if not red:
+        raise NoRedVertexError("all ranks are 0")
+    return red
+
+
+class InvalidMultiplicitiesError(Exception):
+    """Part-size multiplicities must be positive sizes, counts >= 0, >= 2 parts."""
+
+
+def multipartite_binomial_bound(multiplicities: dict[int, int]) -> int:
+    """Least k admitting enough distinct rank multisets per part size.
+
+    ``multiplicities`` maps a part size ``i`` to how many parts of that size
+    the complete multipartite graph has.  Parts of equal size are twins as
+    blocks: each needs its own size-``i`` subset of the k rank values, so k
+    must satisfy C(k, i) >= multiplicity for every size ``i``, and k can
+    never be smaller than the largest part.
+    """
+    if not multiplicities:
+        raise InvalidMultiplicitiesError("no parts given")
+    total_parts = 0
+    for size, count in multiplicities.items():
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise InvalidMultiplicitiesError(f"part size {size!r} must be >= 1")
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise InvalidMultiplicitiesError(f"count for size {size} must be >= 0")
+        total_parts += count
+    if total_parts < 2:
+        raise InvalidMultiplicitiesError("need at least two parts in total")
+    active = {s: c for s, c in multiplicities.items() if c >= 1}
+    k = max(active)
+    while any(math.comb(k, size) < count for size, count in active.items()):
+        k += 1
+    return k

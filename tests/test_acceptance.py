@@ -17,7 +17,6 @@ import idindex.cli as cli
 from idindex.constructions import (
     construct_assignment,
     expected_id_index,
-    affine_transform,
     universal_assignment,
 )
 from idindex.families import FamilySpec, generate, random_connected_graph
@@ -28,6 +27,7 @@ from idindex.structure import distance_profile, tuplet_classes
 
 from corpus import (
     CORPUS_SEED,
+    affine_transform,
     connected_corpus_up_to,
     geometric_pool,
     id_index_oracle,

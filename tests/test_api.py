@@ -3,6 +3,7 @@ import inspect
 import idindex
 import idindex.constructions
 import idindex.families
+import idindex.graphs
 import idindex.solvers
 import idindex.strings_codes
 import idindex.structure
@@ -26,6 +27,14 @@ NOT_EXPORTED = [
     "IdNumberResult",
     "VertexLayout",
     "coloring_to_ranks",
+    "affine_transform",
+    "normalize_two_valued",
+    "ranks_to_coloring",
+    "ZeroScaleError",
+    "NotZeroOneError",
+    "partition_distinguishes",
+    "multipartite_binomial_bound",
+    "InvalidMultiplicitiesError",
 ]
 
 
@@ -42,6 +51,7 @@ def test_test_only_names_are_not_in_the_library():
             idindex,
             idindex.constructions,
             idindex.families,
+            idindex.graphs,
             idindex.solvers,
             idindex.strings_codes,
             idindex.structure,
@@ -56,3 +66,15 @@ def test_search_limits_has_one_knob():
         params = inspect.signature(search).parameters
         assert list(params) == ["g", "max_nodes"]
         assert params["max_nodes"].default == idindex.solvers.DEFAULT_MAX_NODES
+
+
+def test_graph_has_no_test_only_helpers():
+    # tests read len(g.adj[v]) and len(list(g.edges())) instead
+    assert not hasattr(idindex.Graph, "degree")
+    assert not hasattr(idindex.Graph, "edge_count")
+
+
+def test_random_graphs_take_no_edge_probability():
+    # sweeps sample G(n, 1/2), the p the CLI documents
+    params = inspect.signature(idindex.families.random_connected_graph).parameters
+    assert list(params) == ["n", "rng"]

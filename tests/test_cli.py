@@ -352,6 +352,86 @@ class TestAnalyze:
         obj = run_json(capsys, "analyze", "--family", "path:4")
         assert obj["distance_profile"] is None
 
+    @pytest.mark.parametrize("depth,code", [(64, 0), (65, 2), (495, 2)])
+    def test_product_nesting_limit(self, capsys, depth, code):
+        spec = "path:1"
+        for _ in range(depth):
+            spec = f"product:({spec})x(path:1)"
+        got, out, err = run_cli(capsys, "analyze", "--family", spec)
+        assert got == code, err
+        if code:
+            assert out == "" and err == "error: products nest at most 64 deep\n"
+        else:
+            assert json.loads(out)["n"] == 1
+
+
+# leaf specs with parameters up to 6, some with malformed separators
+_ATOMS = st.builds(
+    lambda kind, sep, joiner, params: kind + sep + joiner.join(map(str, params)),
+    st.sampled_from([
+        "path", "cycle", "complete", "multipartite", "grid", "prism",
+        "petersen", "caterpillar", "product", "", "torus", "Path", "(path",
+    ]),
+    st.sampled_from([":", "", "::", " : "]),
+    st.sampled_from([",", "x", ", ", ";", ")x("]),
+    st.lists(st.integers(min_value=-1, max_value=6), max_size=3),
+)
+
+
+# how one level of product nesting wraps the spec so far and its sibling
+_WELL_FORMED = "product:({a})x({b})"
+_MALFORMED = [
+    "product:({b})x({a}",
+    "product:{a}x{b}",
+    "product:({a})({b})",
+    "product:({a})x({b})x(path:1)",
+    "product(({a})x({b}))",
+    "product:(({a})x({b})",
+    "product:({a}))x(({b})",
+    "product:()x({a})",
+]
+
+
+@st.composite
+def _family_specs(draw):
+    """Product chains nested up to 600 deep around small atoms.
+
+    At most two factors are drawn atoms (every other sibling is path:1), so
+    a well-formed spec has at most 36 * 36 vertices.
+    """
+    # deep chains get their own branch: past a few hundred levels is where
+    # recursion would give out
+    depth = draw(st.integers(0, 600) | st.integers(400, 600))
+    levels = st.integers(min_value=0, max_value=max(depth - 1, 0))
+    sibling = draw(st.just({}) | st.dictionaries(levels, _ATOMS, max_size=1))
+    broken = draw(
+        st.just({}) | st.dictionaries(levels, st.sampled_from(_MALFORMED), max_size=2)
+    )
+    spec = draw(_ATOMS)
+    for level in range(depth):
+        template = broken.get(level, _WELL_FORMED)
+        spec = template.format(a=spec, b=sibling.get(level, "path:1"))
+    return spec
+
+
+class TestFamilySpecFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_family_specs())
+    def test_analyze_exits_cleanly(self, spec):
+        # hypothesis raises the recursion limit while it runs a test; the
+        # command line runs under the interpreter's default of 1000
+        limit = sys.getrecursionlimit()
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            sys.setrecursionlimit(1000)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(["analyze", "--family", spec])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code in (0, 2), (spec, err.getvalue())
+        assert "internal error" not in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
 
 class TestConstruct:
     def test_balanced_bipartite(self, capsys):

@@ -3,20 +3,23 @@ import itertools
 import pytest
 
 from idindex.constructions import (
-    NotZeroOneError,
     SpecMismatchError,
-    ZeroScaleError,
-    affine_transform,
     construct_assignment,
     expected_id_index,
-    normalize_two_valued,
-    ranks_to_coloring,
     universal_assignment,
 )
 from idindex.families import FamilySpec, generate, parse_family_spec
 from idindex.graphs import all_pairs_distances
 from idindex.solvers import id_index_exact
 from idindex.strings_codes import NoRedVertexError, is_distinguishing, string_table
+
+from corpus import (
+    NotZeroOneError,
+    ZeroScaleError,
+    affine_transform,
+    normalize_two_valued,
+    ranks_to_coloring,
+)
 
 
 def spec_for(text):

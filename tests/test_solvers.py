@@ -17,7 +17,6 @@ from idindex.solvers import (
     greedy_upper_bound,
     id_index_exact,
     id_number_exact,
-    partition_distinguishes,
     to_restricted_growth,
 )
 from idindex.strings_codes import code_table, is_distinguishing, string_table
@@ -30,6 +29,7 @@ from corpus import (
     floyd_warshall,
     geometric_pool,
     id_index_oracle,
+    partition_distinguishes,
     random_connected_graph,
     random_corpus,
     reference_id_number,

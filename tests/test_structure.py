@@ -8,19 +8,15 @@ import pytest
 from idindex.families import parse_family_spec, generate
 from idindex.graphs import all_pairs_distances, build_graph, parse_edge_list
 from idindex.strings_codes import string_table
-from idindex.structure import (
-    InvalidMultiplicitiesError,
-    counting_lower_bound,
-    distance_profile,
-    multipartite_binomial_bound,
-    tuplet_classes,
-)
+from idindex.structure import counting_lower_bound, distance_profile, tuplet_classes
 
 from corpus import (
+    InvalidMultiplicitiesError,
     all_connected_graphs,
     connected_corpus_up_to,
     geometric_pool,
     id_index_oracle,
+    multipartite_binomial_bound,
     random_corpus,
     reference_counting_bound,
     reference_id_number,
