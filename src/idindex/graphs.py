@@ -148,23 +148,27 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(n, edges)
 
 
-def _bfs_row(g: Graph, source: int):
-    """Distances from one source; -1 marks unreachable vertices."""
+def _bfs_row(g: Graph, source: int, steps):
+    """Distances from one source; -1 marks unreachable vertices.
+
+    ``steps`` is ``range(g.n + 1)`` as a list: a distance ``d`` is stored as
+    ``steps[d]``, so every row shares one int object per distance value.
+    """
     dist = [-1] * g.n
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        du = dist[u]
+        du = steps[dist[u] + 1]
         for v in g.adj[u]:
             if dist[v] < 0:
-                dist[v] = du + 1
+                dist[v] = du
                 queue.append(v)
     return dist
 
 
 def is_connected(g: Graph) -> bool:
-    return -1 not in _bfs_row(g, 0)
+    return -1 not in _bfs_row(g, 0, list(range(g.n + 1)))
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
@@ -172,10 +176,11 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     is unreachable.
 
     Vertex 0 reaches every vertex exactly when the graph is connected, so
-    only its row is checked.
+    only its row is checked.  The rows share one int object per distance.
     """
-    first = _bfs_row(g, 0)
+    steps = list(range(g.n + 1))
+    first = _bfs_row(g, 0, steps)
     if -1 in first:
         raise DisconnectedError("no path from vertex 0 to some vertex")
-    rows = (tuple(first),) + tuple(tuple(_bfs_row(g, v)) for v in range(1, g.n))
+    rows = (tuple(first),) + tuple(tuple(_bfs_row(g, v, steps)) for v in range(1, g.n))
     return DistanceMatrix(rows, max(map(max, rows)))

@@ -25,7 +25,9 @@ report as ``lower_bound``.
 One kernel, ``_PairWatcher``, labels vertices ``0..n-1`` depth-first with
 an explicit stack for both exact searches, in lexicographic order:
 ``k``-class restricted-growth strings for ``id_index_exact``, red sets of
-``r`` vertices, red before white, for ``id_number_exact``.  It prunes by
+``r`` vertices, red before white, for ``id_number_exact``.  A rule gives
+each vertex's options as a tuple in the order they are tried, built once
+per vertex and count of labels used.  The search prunes by
 
 * twins: vertices with equal open or closed neighbourhoods see every other
   vertex at equal distance, so two same-label twins can never separate;
@@ -36,6 +38,13 @@ an explicit stack for both exact searches, in lexicographic order:
   placed while that field is zero on every class.  The fields of one class
   are packed into a single integer, so placing a vertex is one big-int add
   and the pairs it completes are checked with one zero-field test.
+
+The partition search counts ``k - 1`` classes; the last one is implied.
+It watches only pairs with equal sphere rows, and once a pair is complete
+its count differences, summed over all ``k`` classes, are its sphere
+differences, all zero.  So the last class's field is zero exactly when the
+other ``k - 1`` are.  The red-set search watches pairs whose sphere rows
+differ too, so it counts its one class, red.
 
 Both searches raise ``BudgetExceededError`` after ``max_nodes`` search
 nodes, ``DEFAULT_MAX_NODES`` unless the caller gives a budget.  Results are
@@ -172,7 +181,9 @@ class _PairWatcher:
     """Shared per-graph structures for the level searches.
 
     The watched pairs are the unordered non-twin pairs (u, v) with ``key[u]
-    == key[v]`` (other pairs always separate).  Per counted class ``c`` the
+    == key[v]``; with ``key = spheres`` other pairs always separate, and a
+    complete pair's fields sum to zero over all classes, so a search may
+    leave its last class uncounted.  Per counted class ``c`` the
     search keeps one integer with one ``width``-bit field per pair, SWAR
     style: pair ``p``'s field holds ``bias`` plus the number whose digit
     ``i-1`` in base ``S+1`` is N_i(u, c) - N_i(v, c), where ``S`` is the
@@ -201,9 +212,11 @@ class _PairWatcher:
         self.n = n
 
         class_of = tc.class_index()
-        self.twin_prev = [
-            [u for u in range(v) if class_of[u] == class_of[v]] for v in range(n)
-        ]
+        # twin_prev[v]: the members of v's twin class listed before it
+        self.twin_prev = [()] * n
+        for cls in tc.classes:
+            for i, v in enumerate(cls.members):
+                self.twin_prev[v] = cls.members[:i]
         groups: dict = {}
         for v in range(n):
             groups.setdefault(key[v], []).append(v)
@@ -273,9 +286,12 @@ class _PairWatcher:
     def search_level(self, rule, level: int, counted: int, budget: int):
         """First labelling in ``rule`` order that separates every pair.
 
-        ``rule(n, level, w, used)`` lists vertex ``w``'s ``(label, used
-        after)`` options last-first; labels from ``counted`` up add nothing.
-        Returns ``(labels or None, nodes)``; ``nodes > budget`` if it ran out.
+        ``rule(n, level, w, used)`` gives vertex ``w``'s ``(label, used
+        after)`` options as a tuple in the order they are tried; each tuple
+        is built once per ``(w, used)``.  Labels from ``counted`` up add
+        nothing, which is exact for the label ``level - 1`` of a partition
+        search keyed on spheres (see the class docstring).  Returns
+        ``(labels or None, nodes)``; ``nodes > budget`` if it ran out.
         """
         n = self.n
         # packed[c]: every pair's field for class c
@@ -285,11 +301,13 @@ class _PairWatcher:
         delta_of = self.pack if self.deltas is None else self.deltas.__getitem__
         finalize = self.finalize
         twin_prev = self.twin_prev
+        # options[w][used]: rule's tuple for vertex w, built on first use
+        options = [{} for _ in range(n)]
 
-        # pending[w]: the options of vertex w not tried yet; assign[w] is the
-        # label w holds, -1 once it is taken back
+        # pending[w]: an iterator over the options of vertex w not tried
+        # yet; assign[w] is the label w holds, -1 once it is taken back
         pending = [None] * n
-        pending[0] = rule(n, level, 0, 0)
+        pending[0] = iter(rule(n, level, 0, 0))
         w = 0
         while w >= 0:
             c = assign[w]
@@ -297,10 +315,11 @@ class _PairWatcher:
                 assign[w] = -1
                 if c < counted:
                     packed[c] -= delta_of(w)
-            if not pending[w]:
+            option = next(pending[w], None)
+            if option is None:
                 w -= 1
                 continue
-            c, used = pending[w].pop()
+            c, used = option
             for t in twin_prev[w]:
                 if assign[t] == c:
                     break
@@ -323,7 +342,11 @@ class _PairWatcher:
                 if w == n - 1:
                     return assign, nodes
                 w += 1
-                pending[w] = rule(n, level, w, used)
+                cache = options[w]
+                opts = cache.get(used)
+                if opts is None:
+                    opts = cache[used] = rule(n, level, w, used)
+                pending[w] = iter(opts)
         return None, nodes
 
 
@@ -332,16 +355,16 @@ def _partition_labels(n: int, k: int, w: int, used: int):
     them opened before vertex ``w``: lexicographic order."""
     lo = used if used + n - w == k else 0
     hi = used if used < k else k - 1
-    return [(c, used + 1 if c == used else used) for c in range(hi, lo - 1, -1)]
+    # tuple() of a list comprehension builds faster than of a generator
+    return tuple([(c, used + 1 if c == used else used) for c in range(lo, hi + 1)])
 
 
 def _red_set_labels(n: int, r: int, w: int, used: int):
     """Red sets of exactly ``r`` vertices, ``used`` red before vertex ``w``:
     red (0) before white (1), the sorted sets in lexicographic order."""
-    options = [(1, used)] if n - w - 1 >= r - used else []
-    if used < r:
-        options.append((0, used + 1))
-    return options
+    red = ((0, used + 1),) if used < r else ()
+    white = ((1, used),) if n - w - 1 >= r - used else ()
+    return red + white
 
 
 def id_index_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdIndexCertificate:
@@ -376,8 +399,9 @@ def id_index_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdIndexCerti
     total_nodes = 0
     prev_level_nodes = 0
     for k in range(start, g.n + 1):
+        # the last class is implied by the other k - 1 on pairs of equal spheres
         assign, nodes = watcher.search_level(
-            _partition_labels, k, k, max_nodes - total_nodes
+            _partition_labels, k, k - 1, max_nodes - total_nodes
         )
         total_nodes += nodes
         if total_nodes > max_nodes:

@@ -121,6 +121,13 @@ class TestAllPairsDistances:
         g, _ = generate(FamilySpec("caterpillar", counts))
         assert all_pairs_distances(g).diameter == len(counts) + 1
 
+    def test_rows_share_one_int_per_distance(self):
+        # distances above 256 are not cached by the interpreter; the rows
+        # hand out one shared object per value instead of one per entry
+        dm = all_pairs_distances(generate(FamilySpec("path", (600,)))[0])
+        assert dm.diameter == 599
+        assert len({id(d) for row in dm.dist for d in row}) <= dm.diameter + 1
+
     def test_disconnected_raises(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedError, match="no path from vertex 0"):

@@ -20,12 +20,13 @@ from idindex.solvers import (
     to_restricted_growth,
 )
 from idindex.strings_codes import code_table, is_distinguishing, string_table
-from idindex.structure import tuplet_classes
+from idindex.structure import counting_lower_bound, tuplet_classes
 
 from corpus import (
     NoDistinguishingAssignmentError,
     TooLargeError,
     all_connected_graphs,
+    connected_corpus_up_to,
     floyd_warshall,
     geometric_pool,
     id_index_oracle,
@@ -306,6 +307,26 @@ class TestSearchPins:
             red = id_number_exact(g)
             got = (None, None) if red is None else (len(red), sorted(red))
             assert got == (pin["id_number"], pin["red"])
+
+
+class TestImpliedLastClass:
+    """The partition search watches only pairs with equal sphere rows, so
+    once a pair is complete its fields sum to zero over all ``k`` classes:
+    the last class's field is zero exactly when the other ``k - 1`` are,
+    and counting ``k - 1`` classes walks the same tree."""
+
+    def test_counting_k_minus_1_classes_walks_the_same_tree(self):
+        graphs = [g for g in connected_corpus_up_to(5) if g.n > 1] + random_corpus(200)
+        for g in graphs:
+            dm = all_pairs_distances(g)
+            tc = tuplet_classes(g)
+            spheres = string_table(dm, (1,) * g.n)
+            watcher = solvers._PairWatcher(dm, tc, spheres, spheres)
+            start = counting_lower_bound(spheres, tc.max_size)
+            for k in range(start, id_index_exact(g).k + 1):
+                full = watcher.search_level(solvers._partition_labels, k, k, 2_000)
+                implied = watcher.search_level(solvers._partition_labels, k, k - 1, 2_000)
+                assert implied == full
 
 
 class TestPackedFields:
