@@ -1,15 +1,22 @@
-"""Simple-graph core: validated construction, edge-list parsing, BFS distances.
+"""Simple-graph core: validated construction, edge-list parsing, distances.
 
 Everything downstream assumes a finite, simple, undirected, connected graph.
 Graphs are immutable; vertices are dense integers ``0..n-1``.  Connectivity is
 not checked at construction time but at ``all_pairs_distances``, the single
 gate every analysis and solver passes through.
+
+All-pairs distances come from one of two kernels, chosen from the input:
+breadth-first search from every vertex, or, on graphs of at most 255
+vertices whose diameter is small against their size, ball growth, which
+keeps each vertex's ball as one integer with a byte per vertex and grows
+every ball by one level with a few big-int ORs.  Both give the same rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter, or_
 
 
 class GraphError(Exception):
@@ -115,18 +122,17 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     max_seen = -1
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
+        if parts[0].startswith("#"):
+            body = raw.strip()[1:].strip()
             if body.startswith("n=") and explicit_n is None and not edges:
                 try:
                     explicit_n = int(body[2:])
                 except ValueError:
                     raise ParseError(line_no, raw) from None
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ParseError(line_no, raw)
         try:
@@ -153,18 +159,46 @@ def _bfs_row(g: Graph, source: int, steps):
 
     ``steps`` is ``range(g.n + 1)`` as a list: a distance ``d`` is stored as
     ``steps[d]``, so every row shares one int object per distance value.
+    The queue is a list read while it grows.
     """
     dist = [-1] * g.n
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
+    queue = [source]
+    adj = g.adj
+    for u in queue:
         du = steps[dist[u] + 1]
-        for v in g.adj[u]:
+        for v in adj[u]:
             if dist[v] < 0:
                 dist[v] = du
                 queue.append(v)
     return dist
+
+
+def _ball_rows(g: Graph):
+    """All distance rows of a connected graph on at most 255 vertices, and
+    its diameter.
+
+    Ball ``i`` of ``v``, the vertices within distance ``i``, is one integer
+    whose byte ``w`` is 1 for each such ``w``; ball ``i + 1`` is the OR of
+    the ``i``-balls over ``v``'s closed neighbourhood.  Summed over levels
+    ``0..L-1``, ``L`` the diameter, ``full - ball_i(v)`` has byte ``w``
+    equal to the number of levels that miss ``w``, which is ``d(v, w)`` and
+    below 255; it is taken as ``L * full`` minus the sum of the balls.  The
+    rows hold the interpreter's cached small ints, one object per distance.
+    """
+    n = g.n
+    full = int.from_bytes(b"\x01" * n, "little")
+    balls = [1 << 8 * v for v in range(n)]
+    # a tuple for every v when n >= 2; the one-vertex ball is already full
+    closed = [itemgetter(v, *g.adj[v]) for v in range(n)]
+    acc = [0] * n
+    levels = 0
+    while balls.count(full) < n:
+        acc = list(map(add, acc, balls))
+        levels += 1
+        balls = [reduce(or_, get(balls)) for get in closed]
+    top = levels * full
+    return tuple(tuple((top - a).to_bytes(n, "little")) for a in acc), levels
 
 
 def is_connected(g: Graph) -> bool:
@@ -172,15 +206,31 @@ def is_connected(g: Graph) -> bool:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; raises ``DisconnectedError`` when any pair
-    is unreachable.
+    """All-pairs distances; raises ``DisconnectedError`` when any pair is
+    unreachable.
 
     Vertex 0 reaches every vertex exactly when the graph is connected, so
-    only its row is checked.  The rows share one int object per distance.
+    only its BFS row is checked.  The other rows come from ball growth when
+    ``n <= 255`` and ``40 * ecc(0) <= n + 2m``, else from BFS; either way
+    the rows share one int object per distance.
     """
-    steps = list(range(g.n + 1))
+    n = g.n
+    steps = list(range(n + 1))
     first = _bfs_row(g, 0, steps)
     if -1 in first:
         raise DisconnectedError("no path from vertex 0 to some vertex")
-    rows = (tuple(first),) + tuple(tuple(_bfs_row(g, v, steps)) for v in range(1, g.n))
+    # BFS costs about n * (n + 2m) edge steps; ball growth costs n reduces
+    # per level and at most 2 * ecc(0) levels.  One reduce cost 10-14 steps
+    # on cycles of 12-250 vertices, 14-21 on grids of 16-225 and 14-20 on
+    # sparse G(n, p) with n <= 120 (2-vCPU host, CPython 3.11; more on
+    # denser graphs, where BFS is slower still).  At 20 steps a reduce, balls
+    # win once 2 * ecc(0) * 20 <= n + 2m.  Each graph this sends to balls ran
+    # faster there: the 400 G(30, 1/4) graphs of the random_batch benchmark
+    # 1.6-2.5x, C7xC7 1.9x, G(250, 1/2) 28x.  cycle:120 stays on BFS, 2.1x
+    # faster, and so do the Petersen graph, Q5 and grid:12x12 (vertex 0 a
+    # corner), where balls would win 1.2x, 1.5x and 1.7x: the rule takes the
+    # diameter's worst case, twice ecc(0).
+    if n <= 255 and 40 * max(first) <= n + sum(map(len, g.adj)):
+        return DistanceMatrix(*_ball_rows(g))
+    rows = (tuple(first),) + tuple(tuple(_bfs_row(g, v, steps)) for v in range(1, n))
     return DistanceMatrix(rows, max(map(max, rows)))

@@ -220,17 +220,19 @@ class _PairWatcher:
         groups: dict = {}
         for v in range(n):
             groups.setdefault(key[v], []).append(v)
+        # a group of one vertex has no pair to watch
+        groups = [members for members in groups.values() if len(members) > 1]
         pair_count = sum(
             comb(len(members), 2)
             - sum(comb(m, 2) for m in Counter(map(class_of.__getitem__, members)).values())
-            for members in groups.values()
+            for members in groups
         )
         if pair_count * n > _MAX_WATCH_ENTRIES:
             raise BudgetExceededError(
                 f"pair tables need {pair_count * n} entries, limit {_MAX_WATCH_ENTRIES}"
             )
         pairs = []
-        for members in groups.values():
+        for members in groups:
             for i, u in enumerate(members):
                 for v in members[i + 1 :]:
                     if class_of[u] != class_of[v]:
@@ -396,6 +398,7 @@ def id_index_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdIndexCerti
     spheres = string_table(dm, (1,) * g.n)
     start = counting_lower_bound(spheres, lower)
     watcher = _PairWatcher(dm, tc, spheres, spheres)
+    del spheres  # only the bound and the watcher build read it
     total_nodes = 0
     prev_level_nodes = 0
     for k in range(start, g.n + 1):

@@ -45,14 +45,12 @@ def string_table(dm, ranks: tuple[int, ...]) -> list[tuple[int, ...]]:
     _check_length(ranks, n)
     d = dm.diameter
     table = []
-    for v in range(n):
-        row = [0] * d
-        dv = dm.dist[v]
-        for w in range(n):
-            i = dv[w]
-            if i > 0:
-                row[i - 1] += ranks[w]
-        table.append(tuple(row))
+    for dv in dm.dist:
+        # slot i collects distance i; slot 0, the vertex itself, is dropped
+        row = [0] * (d + 1)
+        for i, r in zip(dv, ranks):
+            row[i] += r
+        table.append(tuple(row[1:]))
     return table
 
 

@@ -16,6 +16,7 @@ import random
 from idindex import Graph, build_graph, certificate_ranks, code_table, is_connected
 from idindex import all_pairs_distances, first_collision, is_distinguishing, string_table
 from idindex.families import random_connected_graph
+from idindex.graphs import EmptyInputError, ParseError
 from idindex.strings_codes import NoRedVertexError
 
 # master seed for the reproducible random corpus used across test modules
@@ -67,6 +68,46 @@ def floyd_warshall(g: Graph):
                 if row_u[v] is None or via < row_u[v]:
                     row_u[v] = via
     return dist
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    """``graphs.parse_edge_list`` as it was before it split each line
+    once: the reference its fuzz test compares against."""
+    explicit_n = None
+    edges = []
+    max_seen = -1
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("n=") and explicit_n is None and not edges:
+                try:
+                    explicit_n = int(body[2:])
+                except ValueError:
+                    raise ParseError(line_no, raw) from None
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(line_no, raw)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(line_no, raw) from None
+        if u < 0 or v < 0:
+            raise ParseError(line_no, raw)
+        max_seen = max(max_seen, u, v)
+        edges.append((u, v))
+    if explicit_n is None:
+        if max_seen < 0:
+            raise EmptyInputError("edge list mentions no vertices")
+        n = max_seen + 1
+    else:
+        n = explicit_n
+        if n < 1:
+            raise EmptyInputError("header fixes an empty vertex set")
+    return build_graph(n, edges)
 
 
 class TooLargeError(Exception):

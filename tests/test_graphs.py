@@ -1,6 +1,14 @@
+import contextlib
+import io
+import os
+import random
+import tempfile
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import idindex.cli as cli
+import idindex.graphs as graphs
 from idindex.graphs import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -13,11 +21,14 @@ from idindex.graphs import (
     is_connected,
     parse_edge_list,
 )
-from idindex.families import FamilySpec, generate, random_connected_graph
+from idindex.families import FamilySpec, generate, parse_family_spec, random_connected_graph
 
-from corpus import all_connected_graphs, floyd_warshall
-
-import random
+from corpus import (
+    all_connected_graphs,
+    connected_corpus_up_to,
+    floyd_warshall,
+    reference_parse_edge_list,
+)
 
 
 class TestBuildGraph:
@@ -165,3 +176,167 @@ def test_distance_matrix_symmetry_and_diameter(n, seed):
         assert dm.dist[u][u] == 0
         for v in range(n):
             assert dm.dist[u][v] == dm.dist[v][u]
+
+
+# edge-list fuzz pieces: number spellings int() reads (signs, leading
+# zeros, Arabic-Indic and full-width digits), comment and header forms,
+# junk, and the whitespace str.split() and str.strip() agree on; ids stay
+# below 10 so a drawn graph is small enough to solve
+_NUMBERS = st.sampled_from(
+    ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "+2", "03", "\u0663", "\uff15"]
+)
+_JUNK = st.sampled_from(["#", "#0", "n=", "n=x", "x", "1.0", "2#", "-", "-1", ""])
+_GAPS = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2003", ""])
+# whitespace around a line may hold \x0c, which str.splitlines() splits at
+_ENDS = st.sampled_from([" ", "\t", "\x0c", "\u2003", ""])
+
+
+@st.composite
+def _edge_list_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["edge"] * 16 + ["header", "comment", "junk", "blank"]))
+        if kind == "edge":
+            body = draw(_NUMBERS) + draw(_GAPS.filter(bool)) + draw(_NUMBERS)
+        elif kind == "header":
+            body = "#" + draw(_GAPS) + "n=" + draw(st.one_of(_NUMBERS, _JUNK))
+        elif kind == "blank":
+            body = ""
+        else:
+            fields = draw(st.lists(st.one_of(_NUMBERS, _JUNK), max_size=3))
+            body = ("#" if kind == "comment" else "") + draw(_GAPS).join(fields)
+        lines.append(draw(_ENDS) + body + draw(_ENDS))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestParseEdgeListFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_edge_list_texts())
+    def test_matches_reference_parser(self, text):
+        # an equal Graph, or the same exception type with the same message,
+        # which names the line number or the vertex
+        assert _parse_outcome(parse_edge_list, text) == _parse_outcome(
+            reference_parse_edge_list, text
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_edge_list_texts())
+    def test_compute_exits_cleanly(self, text):
+        fd, path = tempfile.mkstemp(suffix=".txt")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(["compute", "--input", path])
+        finally:
+            os.remove(path)
+        assert code in (0, 2, 3, 4, 5), (text, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()
+
+
+def _bfs_rows(g):
+    steps = list(range(g.n + 1))
+    return [graphs._bfs_row(g, v, steps) for v in range(g.n)]
+
+
+def _ball_rows(g):
+    rows, diameter = graphs._ball_rows(g)
+    assert diameter == max(map(max, rows))
+    return [list(row) for row in rows]
+
+
+def _connected_gnp(n, p, rng):
+    """G(n, p), with each part vertex 0 does not reach joined to it by one
+    random edge."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    while True:
+        g = build_graph(n, edges)
+        row = graphs._bfs_row(g, 0, list(range(n + 1)))
+        if -1 not in row:
+            return g
+        reached = [v for v in range(n) if row[v] >= 0]
+        edges.append((rng.choice(reached), row.index(-1)))
+
+
+class TestDistanceKernels:
+    """Both kernels, called directly: the selection in
+    ``all_pairs_distances`` gives ball growth to no graph the small-graph
+    tests draw."""
+
+    def test_every_connected_graph_up_to_5(self):
+        for g in connected_corpus_up_to(5):
+            want = floyd_warshall(g)
+            assert _bfs_rows(g) == want
+            assert _ball_rows(g) == want
+
+    @pytest.mark.parametrize("n", [20, 35, 50, 80])
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.25, 0.5, 0.8])
+    def test_random_gnp(self, n, p):
+        g = _connected_gnp(n, p, random.Random(n * 1000 + int(p * 100)))
+        want = floyd_warshall(g)
+        assert _bfs_rows(g) == want
+        assert _ball_rows(g) == want
+
+    @pytest.mark.parametrize(
+        "edges,distance",
+        [
+            # K_255: every pair adjacent
+            ([(u, v) for u in range(255) for v in range(u + 1, 255)],
+             lambda u, v: int(u != v)),
+            # the star K_{1,254} with centre 0
+            ([(0, v) for v in range(1, 255)],
+             lambda u, v: 0 if u == v else 1 if 0 in (u, v) else 2),
+            # the path P_255: distance 254 is the most a byte lane takes
+            ([(v, v + 1) for v in range(254)], lambda u, v: abs(u - v)),
+        ],
+        ids=["complete", "star", "path"],
+    )
+    def test_255_vertices(self, edges, distance):
+        # closed forms stand in for Floyd-Warshall, cubic in n in pure Python
+        g = build_graph(255, edges)
+        want = [[distance(u, v) for v in range(255)] for u in range(255)]
+        assert _bfs_rows(g) == want
+        assert _ball_rows(g) == want
+
+    def test_ball_rows_share_one_int_per_distance(self):
+        g, _ = generate(parse_family_spec("path:255"))
+        rows, _ = graphs._ball_rows(g)
+        assert len({id(d) for row in rows for d in row}) == 255
+
+
+def _kernel(monkeypatch, g):
+    """The kernel ``all_pairs_distances`` picks for ``g``."""
+    calls = []
+    real = graphs._ball_rows
+    monkeypatch.setattr(graphs, "_ball_rows", lambda g: calls.append(g) or real(g))
+    all_pairs_distances(g)
+    return "balls" if calls else "bfs"
+
+
+class TestKernelSelection:
+    @pytest.mark.parametrize(
+        "spec", ["complete:30", "product:(cycle:7)x(cycle:7)", "product:(complete:4)x(complete:5)"]
+    )
+    def test_ball_growth(self, monkeypatch, spec):
+        assert _kernel(monkeypatch, generate(parse_family_spec(spec))[0]) == "balls"
+
+    def test_ball_growth_on_random_batch_graphs(self, monkeypatch):
+        rng = random.Random(0)
+        for _ in range(10):
+            g = _connected_gnp(30, 0.25, rng)
+            assert _kernel(monkeypatch, g) == "balls"
+
+    @pytest.mark.parametrize(
+        "spec", ["cycle:120", "grid:12x12", "path:600", "complete:256", "petersen"]
+    )
+    def test_bfs(self, monkeypatch, spec):
+        assert _kernel(monkeypatch, generate(parse_family_spec(spec))[0]) == "bfs"

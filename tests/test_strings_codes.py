@@ -77,6 +77,47 @@ class TestStringTable:
         assert is_distinguishing(table)
 
 
+
+def per_pair_sums(dm, ranks):
+    """Strings by the definition: one sum per vertex and distance."""
+    n = len(dm.dist)
+    return [
+        tuple(
+            sum(ranks[w] for w in range(n) if dm.dist[v][w] == i)
+            for i in range(1, dm.diameter + 1)
+        )
+        for v in range(n)
+    ]
+
+
+class TestStringTableOracle:
+    BIG = 10**299 + 7  # 300 digits
+
+    @pytest.mark.parametrize(
+        "spec", ["path:1", "path:2", "cycle:7", "petersen", "grid:3x4", "product:(cycle:5)x(path:2)"]
+    )
+    @pytest.mark.parametrize("kind", ["zero", "negative", "big", "mixed"])
+    def test_matches_per_pair_sums(self, spec, kind):
+        g, dm = dm_for(spec)
+        rng = random.Random(f"{spec}/{kind}")
+        draw = {
+            "zero": lambda: 0,
+            "negative": lambda: rng.randrange(-50, 0),
+            "big": lambda: self.BIG * rng.randrange(1, 9),
+            "mixed": lambda: rng.choice([0, -1, 1, -self.BIG, self.BIG + 1]),
+        }[kind]
+        ranks = tuple(draw() for _ in range(g.n))
+        assert string_table(dm, ranks) == per_pair_sums(dm, ranks)
+
+    def test_random_graphs(self):
+        rng = random.Random(11)
+        for n in range(2, 12):
+            g = random_connected_graph(n, rng)
+            dm = all_pairs_distances(g)
+            ranks = tuple(rng.randrange(-(10**300), 10**300) for _ in range(n))
+            assert string_table(dm, ranks) == per_pair_sums(dm, ranks)
+
+
 class TestCodeTable:
     def test_path3_one_red_end(self):
         g, dm = dm_for("path:3")
