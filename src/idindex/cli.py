@@ -22,9 +22,10 @@ entries are decimal strings (they can exceed any fixed-width integer),
 ``{"ranks": [<decimal string>, ...]}`` and ``verify --coloring`` reads
 ``{"red": [<id>, ...]}``; both lists take JSON integers or decimal strings.
 
-Exit codes: 0 success, 2 usage or input error, 3 search budget exhausted,
-4 internal invariant violation or other internal error, 5 sweep found a
-mismatch.
+Exit codes: 0 success, 2 usage or input error (any ``ValueError`` or
+``OSError``; every input error the library raises is a ``ValueError``), 3
+search budget exhausted, 4 internal invariant violation or other internal
+error, 5 sweep found a mismatch.
 
 Output is deterministic by default; sweep --deterministic=false fills the
 millis column with wall-clock numbers (the search stays deterministic).
@@ -44,15 +45,9 @@ import time
 from contextlib import nullcontext
 from pathlib import Path
 
-from .constructions import SpecMismatchError, construct_assignment, expected_id_index
-from .families import (
-    FamilySpec,
-    InvalidSpecError,
-    generate,
-    parse_family_spec,
-    random_connected_graph,
-)
-from .graphs import Graph, GraphError, all_pairs_distances, parse_edge_list
+from .constructions import construct_assignment, expected_id_index
+from .families import FamilySpec, generate, parse_family_spec, random_connected_graph
+from .graphs import Graph, all_pairs_distances, parse_edge_list
 from .solvers import (
     DEFAULT_MAX_NODES,
     BudgetExceededError,
@@ -61,30 +56,16 @@ from .solvers import (
     id_index_exact,
     id_number_exact,
 )
-from .strings_codes import (
-    MissingRankError,
-    NoRedVertexError,
-    code_table,
-    first_collision,
-    string_table,
-)
+from .strings_codes import code_table, first_collision, string_table
 from .structure import counting_lower_bound, distance_profile, tuplet_classes
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
-_INPUT_ERRORS = (
-    GraphError,
-    InvalidSpecError,
-    SpecMismatchError,
-    MissingRankError,
-    NoRedVertexError,
-    _UsageError,
-    ValueError,
-    OSError,
-)
+# every input error the library raises is a ValueError
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def _load_graph(args) -> tuple[Graph, FamilySpec | None]:
@@ -386,17 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="edge-list file (u v per line, # comments)")
         p.add_argument("--json", help="write the JSON report here instead of stdout")
 
+    def add_budget(p):
+        p.add_argument(
+            "--budget-nodes",
+            type=_node_budget,
+            default=DEFAULT_MAX_NODES,
+            help="search node budget (>= 1)",
+        )
+
     p = sub.add_parser("compute", help="exact search (or --id-number / --heuristic)")
     add_graph_source(p)
     p.add_argument("--id-number", action="store_true", help="minimum red-set search")
     p.add_argument("--heuristic", action="store_true", help="greedy upper bound")
     p.add_argument("--seed", type=int, default=0, help="seed for --heuristic splits")
-    p.add_argument(
-        "--budget-nodes",
-        type=_node_budget,
-        default=DEFAULT_MAX_NODES,
-        help="search node budget (>= 1)",
-    )
+    add_budget(p)
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify", help="check an assignment or coloring")
@@ -425,12 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", type=int, help="last parameter value")
     p.add_argument("--random", help="random batch: n=..,count=..[,seed=..]")
     p.add_argument("--csv", help="write the CSV here instead of stdout")
-    p.add_argument(
-        "--budget-nodes",
-        type=_node_budget,
-        default=DEFAULT_MAX_NODES,
-        help="search node budget (>= 1)",
-    )
+    add_budget(p)
     p.add_argument(
         "--deterministic",
         nargs="?",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from .families import FamilySpec, generate
 
 
-class SpecMismatchError(Exception):
+class SpecMismatchError(ValueError):
     """The family spec does not fit any closed-form construction route."""
 
 
@@ -98,16 +98,10 @@ def expected_id_index(spec: FamilySpec) -> int | None:
     if kind == "complete":
         return p[0] if p[0] >= 2 else None
     if kind == "multipartite":
-        sizes = p
-        if len(sizes) == 2:
-            m, n = sizes
-            if m == n:
-                return n + 1
-            if m < n:
-                return n
-            return None
-        if all(a < b for a, b in zip(sizes, sizes[1:])):
-            return sizes[-1]
+        if len(p) == 2 and p[0] == p[1]:
+            return p[0] + 1
+        if all(a < b for a, b in zip(p, p[1:])):
+            return p[-1]
         return None
     if kind == "grid":
         m, n = p

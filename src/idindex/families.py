@@ -25,7 +25,7 @@ from itertools import accumulate
 from .graphs import Graph, build_graph, is_connected
 
 
-class InvalidSpecError(Exception):
+class InvalidSpecError(ValueError):
     """Malformed or out-of-domain family description."""
 
 
@@ -99,6 +99,7 @@ def _parse_factors(rest: str):
     # grammar: (A)x(B) with A, B themselves family specs, possibly nested
     if not rest.startswith("("):
         raise InvalidSpecError(f"product wants (A)x(B), got {rest!r}")
+    # rest opens with "(", so depth cannot drop below 0 before the split
     depth = 0
     split_at = None
     for i, ch in enumerate(rest):
@@ -106,9 +107,7 @@ def _parse_factors(rest: str):
             depth += 1
         elif ch == ")":
             depth -= 1
-            if depth < 0:
-                raise InvalidSpecError(f"unbalanced parentheses in {rest!r}")
-            if depth == 0 and split_at is None:
+            if depth == 0:
                 split_at = i
                 break
     if split_at is None or split_at + 1 >= len(rest) or rest[split_at + 1] != "x":
@@ -120,22 +119,9 @@ def _parse_factors(rest: str):
     return (parse_family_spec(left), parse_family_spec(right[1:-1]))
 
 
-_KINDS = {
-    "path",
-    "cycle",
-    "complete",
-    "multipartite",
-    "grid",
-    "prism",
-    "petersen",
-    "caterpillar",
-    "product",
-}
-
-
 def _validated(spec: FamilySpec) -> FamilySpec:
     kind, p = spec.kind, spec.params
-    if kind not in _KINDS:
+    if kind not in _GENERATORS:
         raise InvalidSpecError(f"unknown family kind {kind!r}")
     if kind in ("path", "cycle", "complete", "prism"):
         if len(p) != 1:

@@ -19,7 +19,7 @@ from functools import reduce
 from operator import add, itemgetter, or_
 
 
-class GraphError(Exception):
+class GraphError(ValueError):
     """Base class for invalid graph inputs."""
 
 

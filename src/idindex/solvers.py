@@ -211,11 +211,13 @@ class _PairWatcher:
         dist = self.dist = dm.dist
         self.n = n
 
-        class_of = tc.class_index()
-        # twin_prev[v]: the members of v's twin class listed before it
+        # class_of[v]: the index of v's twin class; twin_prev[v]: the
+        # members of that class listed before v
+        class_of = [0] * n
         self.twin_prev = [()] * n
-        for cls in tc.classes:
+        for ci, cls in enumerate(tc.classes):
             for i, v in enumerate(cls.members):
+                class_of[v] = ci
                 self.twin_prev[v] = cls.members[:i]
         groups: dict = {}
         for v in range(n):
@@ -504,7 +506,7 @@ def _greedy_upper_bound(
     rng = random.Random(seed)
     labels = [0] * len(dm.dist)
     for cls in tc.classes:
-        for j, v in enumerate(sorted(cls.members)):
+        for j, v in enumerate(cls.members):
             labels[v] = j
     p = to_restricted_growth(labels)
     while True:

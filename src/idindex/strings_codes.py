@@ -17,13 +17,13 @@ strings.
 from __future__ import annotations
 
 
-class MissingRankError(Exception):
+class MissingRankError(ValueError):
     def __init__(self, vertex):
         super().__init__(f"no rank given for vertex {vertex}")
         self.vertex = vertex
 
 
-class NoRedVertexError(Exception):
+class NoRedVertexError(ValueError):
     """A coloring must have at least one red vertex."""
 
 

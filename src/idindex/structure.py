@@ -29,8 +29,8 @@ from .graphs import Graph
 
 @dataclass(frozen=True)
 class TupletClass:
-    """A maximal twin class; ``kind`` is 'independent', 'clique', or None
-    for singletons."""
+    """A maximal twin class; ``members`` are ascending, and ``kind`` is
+    'independent', 'clique', or None for singletons."""
 
     members: tuple[int, ...]
     kind: str | None
@@ -42,14 +42,6 @@ class TupletClasses:
 
     classes: tuple[TupletClass, ...]
     max_size: int
-
-    def class_index(self) -> list[int]:
-        """Map each vertex to the index of its class."""
-        idx = [0] * sum(len(c.members) for c in self.classes)
-        for ci, cls in enumerate(self.classes):
-            for v in cls.members:
-                idx[v] = ci
-        return idx
 
 
 def tuplet_classes(g: Graph) -> TupletClasses:

@@ -1,6 +1,7 @@
 import inspect
 
 import idindex
+import idindex.cli
 import idindex.constructions
 import idindex.families
 import idindex.graphs
@@ -78,3 +79,34 @@ def test_random_graphs_take_no_edge_probability():
     # sweeps sample G(n, 1/2), the p the CLI documents
     params = inspect.signature(idindex.families.random_connected_graph).parameters
     assert list(params) == ["n", "rng"]
+
+
+def test_tuplet_classes_have_no_second_index():
+    # the watcher indexes the twin classes while it walks them
+    assert not hasattr(idindex.TupletClasses, "class_index")
+
+
+def test_every_input_error_is_a_value_error():
+    # the CLI maps ValueError and OSError to exit 2; only the budget (exit 3)
+    # and invariant (exit 4) errors stand outside that base
+    outside = {idindex.solvers.BudgetExceededError, idindex.solvers.InternalInvariantError}
+    modules = (
+        idindex.cli,
+        idindex.constructions,
+        idindex.families,
+        idindex.graphs,
+        idindex.solvers,
+        idindex.strings_codes,
+        idindex.structure,
+    )
+    errors = [
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    ]
+    assert outside | {idindex.graphs.GraphError, idindex.cli._UsageError} <= set(errors)
+    for error in set(errors) - outside:
+        assert issubclass(error, ValueError), error.__qualname__

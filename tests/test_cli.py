@@ -221,6 +221,15 @@ class TestCompute:
         assert code == 4 and out == ""
         assert err == "internal error: RuntimeError: boom\n"
 
+    def test_invariant_violation_exits_4(self, capsys, monkeypatch):
+        def broken(g, max_nodes):
+            raise solvers.InternalInvariantError("witness fails re-verification")
+
+        monkeypatch.setattr(cli, "id_index_exact", broken)
+        code, out, err = run_cli(capsys, "compute", "--family", "path:3")
+        assert code == 4 and out == ""
+        assert err == "internal invariant violated: witness fails re-verification\n"
+
     def test_id_number_size_budget(self, capsys):
         # all 79,800 pairs of 400 vertices are watched: refused before building
         started = time.perf_counter()
@@ -560,6 +569,11 @@ class TestSweep:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
 
+    def test_random_item_without_value(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--random", "n5,count=2")
+        assert code == 2 and out == ""
+        assert err == "error: bad --random item 'n5'\n"
+
 
 json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 json_values = st.recursive(
@@ -682,3 +696,23 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k"] == 2
+
+    def test_module_entry_point_matches_golden(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "idindex.cli", "compute", "--family", "petersen"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "exact_petersen.json").read_text()
+
+    def test_module_entry_point_input_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "idindex.cli", "analyze", "--family", "path:0"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr

@@ -71,6 +71,14 @@ class TestParseFamilySpec:
             parse_family_spec(text)
 
     @pytest.mark.parametrize(
+        "spec", [FamilySpec("caterpillar", ()), FamilySpec("product", (1, 2))]
+    )
+    def test_generate_rejects_unparsed_specs(self, spec):
+        # specs built directly, not through the grammar, are validated too
+        with pytest.raises(InvalidSpecError):
+            generate(spec)
+
+    @pytest.mark.parametrize(
         "text",
         [
             "path:7",

@@ -352,7 +352,7 @@ class TestPackedFields:
                 # a constant key watches every non-twin pair
                 tc = tuplet_classes(g)
                 watcher = solvers._PairWatcher(dm, tc, spheres, [0] * n)
-                twin = tc.class_index()
+                twin = {v: ci for ci, c in enumerate(tc.classes) for v in c.members}
                 assert sorted(watcher.pairs) == [
                     (u, v) for u in range(n) for v in range(u + 1, n) if twin[u] != twin[v]
                 ]

@@ -66,12 +66,18 @@ class TestTupletClasses:
         assert firsts == sorted(firsts)
 
     def test_class_index_covers_all_vertices(self):
+        # the classes partition 0..n-1: every vertex in exactly one class
         g = graph_for("caterpillar:2,4,2,2,4,2")
         tc = tuplet_classes(g)
-        idx = tc.class_index()
-        assert len(idx) == g.n
-        for v, ci in enumerate(idx):
-            assert v in tc.classes[ci].members
+        members = [v for c in tc.classes for v in c.members]
+        assert sorted(members) == list(range(g.n))
+
+    def test_members_are_ascending(self):
+        # the greedy bound numbers each class's members in this order
+        graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+        for g in graphs + random_corpus(200):
+            for c in tuplet_classes(g).classes:
+                assert list(c.members) == sorted(c.members)
 
     def test_relation_is_transitive_on_small_corpus(self):
         # grouping by neighborhood equality is an equivalence; check the
@@ -79,7 +85,7 @@ class TestTupletClasses:
         for n in range(2, 6):
             for g in all_connected_graphs(n):
                 tc = tuplet_classes(g)
-                idx = tc.class_index()
+                idx = {v: ci for ci, c in enumerate(tc.classes) for v in c.members}
                 for u, v in itertools.combinations(range(g.n), 2):
                     open_eq = (set(g.adj[u]) - {v}) == (set(g.adj[v]) - {u})
                     closed_eq = open_eq and (v in g.adj[u])
