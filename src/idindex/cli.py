@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -96,15 +97,24 @@ class _Decimal(tuple):
     integers (a list of strings in the JSON) or a table of such rows."""
 
 
-def _int_list(items) -> tuple[int, ...]:
-    """A JSON list of integers or decimal strings, read as integers.
+def _read_ints(path: str, key: str, usage: str) -> tuple[int, ...]:
+    """``obj[key]`` of the JSON object in ``path``: a list of integers or
+    decimal strings, read as integers.
 
-    Raises ``TypeError`` for anything else, bools and floats included, and
-    ``ValueError`` for a string that is not a decimal integer.
+    Anything else, bools and floats included, raises ``_UsageError(usage)``;
+    so does JSON nested past the interpreter's recursion limit.
     """
+    try:
+        obj = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise _UsageError(usage) from None
+    items = obj.get(key) if isinstance(obj, dict) else None
     if not isinstance(items, list) or not all(type(x) in (int, str) for x in items):
-        raise TypeError("expected a list of integers or decimal strings")
-    return tuple(int(x) for x in items)
+        raise _UsageError(usage)
+    try:
+        return tuple(map(int, items))
+    except ValueError:
+        raise _UsageError(usage) from None
 
 
 def _decimal_row(row, pad: str) -> str:
@@ -180,11 +190,8 @@ def _cmd_verify(args) -> int:
     g, spec = _load_graph(args)
     dm = all_pairs_distances(g)
     if args.coloring:
-        obj = json.loads(Path(args.coloring).read_text())
-        try:
-            red = frozenset(_int_list(obj["red"]))
-        except (KeyError, TypeError, ValueError):
-            raise _UsageError("coloring file must look like {'red': [ids]}") from None
+        usage = "coloring file must look like {'red': [ids]}"
+        red = frozenset(_read_ints(args.coloring, "red", usage))
         codes = code_table(dm, red)
         pair = first_collision(codes)
         _emit(
@@ -202,11 +209,8 @@ def _cmd_verify(args) -> int:
             raise _UsageError("--construct needs --family")
         ranks = construct_assignment(spec)
     elif args.ranks:
-        obj = json.loads(Path(args.ranks).read_text())
-        try:
-            ranks = _int_list(obj["ranks"])
-        except (KeyError, TypeError, ValueError):
-            raise _UsageError("expected {'ranks': [<decimal string>, ...]}") from None
+        usage = "expected {'ranks': [<decimal string>, ...]}"
+        ranks = _read_ints(args.ranks, "ranks", usage)
     else:
         raise _UsageError("need one of --ranks, --coloring, --construct")
     table = string_table(dm, ranks)
@@ -289,18 +293,13 @@ def _sweep_specs(args):
         raise _UsageError("family sweep needs --from and --to")
     if args.from_ > args.to:
         raise _UsageError("--from must not exceed --to")
+    sizes = range(args.from_, args.to + 1)
     out = []
-    if args.family == "grid":
-        for m in range(args.from_, args.to + 1):
-            for n in range(args.from_, args.to + 1):
-                spec = FamilySpec("grid", (m, n))
-                g, _ = generate(spec)
-                out.append(("grid", f"{m}x{n}", g, spec))
-    else:
-        for n in range(args.from_, args.to + 1):
-            spec = FamilySpec(args.family, (n,))
-            g, _ = generate(spec)
-            out.append((args.family, str(n), g, spec))
+    params = itertools.product(sizes, sizes) if args.family == "grid" else zip(sizes)
+    for p in params:
+        spec = FamilySpec(args.family, p)
+        g, _ = generate(spec)
+        out.append((args.family, "x".join(map(str, p)), g, spec))
     return out, None
 
 

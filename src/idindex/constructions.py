@@ -33,7 +33,7 @@ def construct_assignment(spec: FamilySpec) -> tuple[int, ...]:
         return _multipartite_ranks(spec)
     if spec.kind == "caterpillar":
         return _caterpillar_ranks(spec)
-    return _universal_ranks(spec)
+    return universal_assignment(generate(spec)[0].n)
 
 
 def _multipartite_ranks(spec):
@@ -77,11 +77,6 @@ def universal_assignment(n: int) -> tuple[int, ...]:
     each other already).
     """
     return tuple(2 ** (j + 1) for j in range(n))
-
-
-def _universal_ranks(spec):
-    g, _ = generate(spec)
-    return universal_assignment(g.n)
 
 
 def expected_id_index(spec: FamilySpec) -> int | None:

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .graphs import Graph, build_graph, is_connected
+from .graphs import Graph, build_graph, check_vertex_count, is_connected
 
 
 class InvalidSpecError(ValueError):
@@ -120,6 +120,14 @@ def _parse_factors(rest: str):
 
 
 def _validated(spec: FamilySpec) -> FamilySpec:
+    """``spec`` itself once its parameters and its vertex count, at most
+    ``MAX_VERTICES``, are checked; no graph is built."""
+    check_vertex_count(_vertex_count(spec))
+    return spec
+
+
+def _vertex_count(spec: FamilySpec) -> int:
+    """The vertex count of ``spec``, after checking its parameters."""
     kind, p = spec.kind, spec.params
     if kind not in _GENERATORS:
         raise InvalidSpecError(f"unknown family kind {kind!r}")
@@ -131,27 +139,32 @@ def _validated(spec: FamilySpec) -> FamilySpec:
             raise InvalidSpecError(f"{kind} needs n >= 1")
         if kind in ("cycle", "prism") and n < 3:
             raise InvalidSpecError(f"{kind} needs n >= 3")
-    elif kind == "multipartite":
+        return 2 * n if kind == "prism" else n
+    if kind == "multipartite":
         if len(p) < 2:
             raise InvalidSpecError("multipartite needs at least two parts")
         if any(m < 1 for m in p):
             raise InvalidSpecError("multipartite part sizes must be >= 1")
-    elif kind == "grid":
+        return sum(p)
+    if kind == "grid":
         if len(p) != 2 or p[0] < 1 or p[1] < 1:
             raise InvalidSpecError("grid needs two sides >= 1")
-    elif kind == "caterpillar":
+        return p[0] * p[1]
+    if kind == "caterpillar":
         if len(p) < 1:
             raise InvalidSpecError("caterpillar needs at least one spine vertex")
         if any(c < 0 for c in p):
             raise InvalidSpecError("leaf counts must be >= 0")
         if p[0] < 1 or p[-1] < 1:
             raise InvalidSpecError("first and last spine vertices need a leaf")
-    elif kind == "product":
+        return len(p) + sum(p)
+    if kind == "product":
         if len(p) != 2 or not all(isinstance(f, FamilySpec) for f in p):
             raise InvalidSpecError("product needs two factor specs")
-        _validated(p[0])
-        _validated(p[1])
-    return spec
+        return _vertex_count(p[0]) * _vertex_count(p[1])
+    if p:
+        raise InvalidSpecError("petersen takes no parameters")
+    return 10
 
 
 def generate(spec: FamilySpec) -> tuple[Graph, tuple[tuple, ...]]:
@@ -162,6 +175,7 @@ def generate(spec: FamilySpec) -> tuple[Graph, tuple[tuple, ...]]:
 
 def random_connected_graph(n: int, rng: random.Random) -> Graph:
     """Seeded G(n, 1/2) sample, made connected by adding absent edges."""
+    check_vertex_count(n)
     edges = set()
     for u in range(n):
         for v in range(u + 1, n):

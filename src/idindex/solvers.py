@@ -383,17 +383,8 @@ def id_index_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdIndexCerti
     """
     dm = all_pairs_distances(g)
     if g.n == 1:
-        p = Partition((0,), 1)
-        return IdIndexCertificate(
-            k=1,
-            partition=p,
-            ranks=certificate_ranks(p),
-            strings=[()],
-            lower_bound=1,
-            infeasibility=InfeasibilityWitness(0, "vacuous", 0),
-            nodes_searched=0,
-            note="by convention",
-        )
+        witness = InfeasibilityWitness(0, "vacuous", 0)
+        return _certificate(dm, Partition((0,), 1), 1, witness, 0, "by convention")
     tc = tuplet_classes(g)
     lower = tc.max_size
     # pairs whose sphere sizes (strings under all-one ranks) differ always separate
@@ -418,13 +409,6 @@ def id_index_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdIndexCerti
                 nodes=total_nodes,
             )
         if assign is not None:
-            p = Partition(tuple(assign), k)
-            ranks = certificate_ranks(p)
-            strings = string_table(dm, ranks)
-            if not is_distinguishing(strings):
-                raise InternalInvariantError(
-                    "certificate ranks fail string re-verification"
-                )
             if k == lower:
                 witness = InfeasibilityWitness(
                     k - 1, "vacuous" if k == 1 else "tuplet-bound", 0
@@ -433,17 +417,19 @@ def id_index_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdIndexCerti
                 witness = InfeasibilityWitness(k - 1, "counting-bound", 0)
             else:
                 witness = InfeasibilityWitness(k - 1, "exhaustive-search", prev_level_nodes)
-            return IdIndexCertificate(
-                k=k,
-                partition=p,
-                ranks=ranks,
-                strings=strings,
-                lower_bound=lower,
-                infeasibility=witness,
-                nodes_searched=total_nodes,
-            )
+            p = Partition(tuple(assign), k)
+            return _certificate(dm, p, lower, witness, total_nodes)
         prev_level_nodes = nodes
     raise InternalInvariantError("no identifying partition up to k = n")
+
+
+def _certificate(dm, p, lower, witness, nodes, note=None) -> IdIndexCertificate:
+    """Certificate of the exact answer ``p``, its strings re-verified."""
+    ranks = certificate_ranks(p)
+    strings = string_table(dm, ranks)
+    if not is_distinguishing(strings):
+        raise InternalInvariantError("certificate ranks fail string re-verification")
+    return IdIndexCertificate(p.k, p, ranks, strings, lower, witness, nodes, note)
 
 
 def id_number_exact(

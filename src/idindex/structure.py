@@ -61,16 +61,13 @@ def tuplet_classes(g: Graph) -> TupletClasses:
 
     classes = []
     grouped = set()
-    for members in open_groups.values():
-        if len(members) > 1:
-            classes.append(TupletClass(tuple(members), "independent"))
-            grouped.update(members)
-    for members in closed_groups.values():
-        if len(members) > 1:
-            if any(v in grouped for v in members):
-                raise AssertionError("vertex in two non-trivial twin classes")
-            classes.append(TupletClass(tuple(members), "clique"))
-            grouped.update(members)
+    for kind, groups in (("independent", open_groups), ("clique", closed_groups)):
+        for members in groups.values():
+            if len(members) > 1:
+                if any(v in grouped for v in members):
+                    raise AssertionError("vertex in two non-trivial twin classes")
+                classes.append(TupletClass(tuple(members), kind))
+                grouped.update(members)
     for v in range(g.n):
         if v not in grouped:
             classes.append(TupletClass((v,), None))

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -336,6 +337,20 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag,usage",
+        [
+            ("--ranks", "expected {'ranks': [<decimal string>, ...]}"),
+            ("--coloring", "coloring file must look like {'red': [ids]}"),
+        ],
+    )
+    def test_json_nested_past_the_recursion_limit(self, capsys, tmp_path, flag, usage):
+        # the JSON decoder raises RecursionError, which is not a ValueError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "verify", "--family", "path:3", flag, str(path))
+        assert (code, out, err) == (2, "", f"error: {usage}\n")
+
     def test_needs_some_input(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "path:3")
         assert code == 2 and "need one of" in err
@@ -440,6 +455,142 @@ class TestFamilySpecFuzz:
         assert code in (0, 2), (spec, err.getvalue())
         assert "internal error" not in err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+class TestVertexLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--family", "path:100000000"),
+            ("analyze", "--family", "grid:100000x100000"),
+            ("analyze", "--family", "multipartite:100000,100000"),
+            ("analyze", "--family", "product:(path:100000)x(path:100000)"),
+            ("analyze", "--input", "{d}/header.txt"),
+            ("analyze", "--input", "{d}/edge.txt"),
+            ("sweep", "--random", "n=100000,count=1"),
+        ],
+    )
+    def test_refused_before_any_work(self, capsys, tmp_path, argv):
+        (tmp_path / "header.txt").write_text("# n=100000000\n0 1\n")
+        (tmp_path / "edge.txt").write_text("0 100000000\n")
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *(a.replace("{d}", str(tmp_path)) for a in argv))
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: graph needs ") and err.endswith(", limit 2000\n")
+        assert err.count("\n") == 1
+
+
+# argv fuzz pieces: (valid, malformed) values of each flag that takes one.
+# Family specs have at most 12 vertices, but for two above the vertex limit;
+# sweep ranges cover at most 4 sizes (0..3), so grids stay at 3x3.  {d} is
+# the example's temporary directory.
+_PATHS = (["{d}/a", "{d}/b", "{d}/c"], ["{d}", "{d}/none/x"])
+_VALUES = {
+    "--family": (
+        [
+            "path:4", "cycle:5", "complete:3", "multipartite:1,2,3", "multipartite:2,2",
+            "grid:2x3", "prism:3", "petersen", "caterpillar:1,2,1", "path:1",
+            "product:(path:2)x(cycle:3)",
+        ],
+        [
+            "path:0", "path:-1", "path", "grid:3x", "product:(path:2)x(", "petersen:1",
+            "multipartite:1", "multipartite:2,2,2", "caterpillar:2,1", "torus:3", " ",
+            "", "path:2001", "product:(path:50)x(path:50)",
+        ],
+    ),
+    "--input": _PATHS,
+    "--ranks": _PATHS,
+    "--coloring": _PATHS,
+    "--json": _PATHS,
+    "--csv": _PATHS,
+    "--seed": (["0", "3", "-1"], ["x", ""]),
+    "--budget-nodes": (["1", "50"], ["-1", "0", "x"]),
+    "--from": (["1", "2", "3"], ["-1", "0", "x"]),
+    "--to": (["1", "2", "3"], ["0", "x"]),
+    "--random": (
+        ["n=5,count=2", "n=12,count=1,seed=3", "n=1,count=1", "seed=-1,count=1,n=8"],
+        ["n=0,count=2", "n=x,count=1", "n=5", "n", "n=5,count=1,extra=1", ""],
+    ),
+    "--deterministic": (["true", "false"], ["maybe"]),
+}
+_SWEEP_KINDS = (["path", "cycle", "complete", "prism", "grid"], ["petersen", "path:4"])
+_JUNK = ["--bogus", "-x", "--", "bogus", "compute", "--family=path:3", "--budget", "--help"]
+
+# file a holds an edge list, b a rank or coloring file, and c either, or an
+# empty file, JSON nested past any recursion limit or bytes that are not
+# UTF-8; any of the three may be read as any kind of file
+_EDGE_LISTS = st.sampled_from([
+    "0 1\n1 2\n2 3\n", "# n=5\n0 1\n1 2\n2 3\n3 4\n", "0 1\n1 2\n2 0\n2 3\n",
+    "0 1\n2 3\n", "0 0\n", "0 1\n1 0\n", "# n=100000000\n0 1\n", "0 100000000\n",
+    "x y\n",
+])
+_JSON_FILES = st.sampled_from([
+    '{"ranks": [1, "2", 3, 4]}', '{"ranks": [1, 2, 3, 4, 5, 6]}', '{"red": [0, "2"]}',
+    '{"red": [1]}', '{"ranks": [1, 2.0]}', '{"ranks": [true]}', '{"ranks": "1"}',
+    '{"ranks": ["1x"]}', '{"red": []}', '{"red": [9]}', '{"red": ["-1"]}',
+    '{"red": [false]}', "[1, 2]", "null", "{",
+])
+_ODD_FILES = st.sampled_from(["[" * 100_000 + "]" * 100_000, b"\xff\xfe", ""])
+_FILES = st.tuples(_EDGE_LISTS, _JSON_FILES, _EDGE_LISTS | _JSON_FILES | _ODD_FILES)
+
+
+def _subcommand_flags():
+    """Each subcommand's long options but --help, read from the parser."""
+    (sub,) = (a for a in cli.build_parser()._actions if a.choices and a.dest == "command")
+    return {
+        name: [
+            s for a in p._actions for s in a.option_strings if s[:2] == "--" and s != "--help"
+        ]
+        for name, p in sub.choices.items()
+    }
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, --family and any other flags of its parser, each with
+    a valid value, then at most one defect: a junk token (an unknown
+    subcommand or flag, a stray one, or --help), a malformed value or a
+    missing one."""
+    flags = _subcommand_flags()
+    command = draw(st.sampled_from(sorted(flags)))
+    argv = [command]
+    valued = []  # (index in argv, malformed values) of each drawn value
+    for flag in flags[command]:
+        if flag == "--family" or draw(st.booleans()):
+            argv.append(flag)
+            if flag in _VALUES:
+                sweep_kind = command == "sweep" and flag == "--family"
+                good, bad = _SWEEP_KINDS if sweep_kind else _VALUES[flag]
+                valued.append((len(argv), bad))
+                argv.append(draw(st.sampled_from(good)))
+    defect = draw(st.sampled_from(["none", "junk", "value", "drop"]))
+    if defect == "junk":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_JUNK)))
+    elif defect != "none" and valued:
+        i, bad = draw(st.sampled_from(valued))
+        if defect == "value":
+            argv[i] = draw(st.sampled_from(bad))
+        else:
+            del argv[i]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_argvs(), _FILES)
+    def test_run_exits_cleanly(self, argv, contents):
+        with tempfile.TemporaryDirectory() as d:
+            for name, content in zip("abc", contents):
+                data = content if isinstance(content, bytes) else content.encode()
+                Path(d, name).write_bytes(data)
+            argv = [token.replace("{d}", d) for token in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(argv)
+        assert code in (0, 2, 3), (argv, contents, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()
 
 
 class TestConstruct:

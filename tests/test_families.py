@@ -1,14 +1,17 @@
 import itertools
+import random
 
 import pytest
 
+import idindex.families as families
 from idindex.families import (
     FamilySpec,
     InvalidSpecError,
     generate,
     parse_family_spec,
+    random_connected_graph,
 )
-from idindex.graphs import all_pairs_distances
+from idindex.graphs import MAX_VERTICES, GraphError, all_pairs_distances
 
 
 class TestParseFamilySpec:
@@ -48,6 +51,7 @@ class TestParseFamilySpec:
             "path:",
             "path:0",
             "path:x",
+            "path:1,2",
             "cycle:2",
             "prism:2",
             "complete:0",
@@ -71,7 +75,13 @@ class TestParseFamilySpec:
             parse_family_spec(text)
 
     @pytest.mark.parametrize(
-        "spec", [FamilySpec("caterpillar", ()), FamilySpec("product", (1, 2))]
+        "spec",
+        [
+            FamilySpec("caterpillar", ()),
+            FamilySpec("product", (1, 2)),
+            # would label as plain "petersen", which parses to another spec
+            FamilySpec("petersen", (3,)),
+        ],
     )
     def test_generate_rejects_unparsed_specs(self, spec):
         # specs built directly, not through the grammar, are validated too
@@ -215,3 +225,49 @@ class TestShapes:
     def test_generated_graphs_are_connected(self, text):
         g, _ = generate(parse_family_spec(text))
         all_pairs_distances(g)  # raises if disconnected
+
+
+class TestVertexLimit:
+    # (largest spec of its kind within the limit, smallest above it)
+    EDGES = [
+        ("path:2000", "path:2001"),
+        ("cycle:2000", "cycle:2001"),
+        ("complete:2000", "complete:2001"),
+        ("prism:1000", "prism:1001"),
+        ("grid:40x50", "grid:41x50"),
+        ("multipartite:1000,1000", "multipartite:1000,1001"),
+        ("caterpillar:1,1995,1", "caterpillar:1,1996,1"),
+        ("product:(path:40)x(path:50)", "product:(path:40)x(path:51)"),
+    ]
+
+    @pytest.mark.parametrize("within,above", EDGES)
+    def test_checked_on_the_parameters(self, within, above):
+        assert MAX_VERTICES == 2000
+        assert families._vertex_count(parse_family_spec(within)) == MAX_VERTICES
+        with pytest.raises(GraphError, match=r"^graph needs 20\d\d vertices, limit 2000$"):
+            parse_family_spec(above)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "path:1",
+            "cycle:7",
+            "complete:4",
+            "multipartite:1,2,3",
+            "grid:3x5",
+            "prism:4",
+            "petersen",
+            "caterpillar:2,0,3",
+            "product:(product:(path:2)x(cycle:3))x(multipartite:1,2)",
+        ],
+    )
+    def test_count_matches_the_generated_graph(self, text):
+        spec = parse_family_spec(text)
+        assert families._vertex_count(spec) == generate(spec)[0].n
+
+    def test_random_graph_draws_nothing_above_the_limit(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(GraphError, match="^graph needs 2001 vertices, limit 2000$"):
+            random_connected_graph(MAX_VERTICES + 1, rng)
+        assert rng.getstate() == state

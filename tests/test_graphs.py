@@ -13,6 +13,8 @@ from idindex.graphs import (
     DisconnectedError,
     DuplicateEdgeError,
     EmptyInputError,
+    GraphError,
+    MAX_VERTICES,
     ParseError,
     SelfLoopError,
     VertexOutOfRangeError,
@@ -63,6 +65,11 @@ class TestBuildGraph:
     def test_empty_vertex_set_rejected(self):
         with pytest.raises(EmptyInputError):
             build_graph(0, [])
+
+    def test_vertex_limit(self):
+        assert build_graph(MAX_VERTICES, []).n == MAX_VERTICES
+        with pytest.raises(GraphError, match="^graph needs 2001 vertices, limit 2000$"):
+            build_graph(MAX_VERTICES + 1, [])
 
 
 class TestParseEdgeList:
