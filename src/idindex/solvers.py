@@ -39,12 +39,15 @@ per vertex and count of labels used.  The search prunes by
   are packed into a single integer, so placing a vertex is one big-int add
   and the pairs it completes are checked with one zero-field test.
 
-The partition search counts ``k - 1`` classes; the last one is implied.
-It watches only pairs with equal sphere rows, and once a pair is complete
-its count differences, summed over all ``k`` classes, are its sphere
-differences, all zero.  So the last class's field is zero exactly when the
-other ``k - 1`` are.  The red-set search watches pairs whose sphere rows
-differ too, so it counts its one class, red.
+Label 0 is never counted.  The partition search counts classes ``1..k-1``;
+class 0 is implied.  It watches only pairs with equal sphere rows, and
+once a pair is complete its count differences, summed over all ``k``
+classes, are its sphere differences, all zero.  So any one class's field
+is zero exactly when the other ``k - 1`` are, and class 0 is the one the
+lexicographic order places most often.  The red-set search watches pairs
+whose sphere rows differ too, so it counts its one class, red, as label 1
+and leaves white as label 0.  A vertex's packed field change is built the
+first time a counted label is placed on it.
 
 Both searches raise ``BudgetExceededError`` after ``max_nodes`` search
 nodes, ``DEFAULT_MAX_NODES`` unless the caller gives a budget.  Results are
@@ -167,14 +170,42 @@ class IdIndexCertificate:
 
 
 # refuse a watcher of more than this many (pair, vertex) entries, the fields
-# of the n precomputed deltas, at most 72 bytes each (below); cycle:120,
-# watching every pair, needs 856,800
+# of the n packed deltas a search may keep, at most 72 bytes each (below);
+# cycle:120, watching every pair, needs 856,800
 _MAX_WATCH_ENTRIES = 4_000_000
 
-# precompute every vertex's packed delta only while one field takes at most
-# this many bytes, which keeps a watcher at the limit above within 288 MB;
-# wider fields are packed each time their vertex is placed or taken back
+# keep each vertex's packed delta after its first use only while one field
+# takes at most this many bytes, which keeps a watcher at the limit above
+# within 288 MB once all n are kept; wider fields are packed each time their
+# vertex takes a counted label or gives it back
 _PRECOMPUTE_MAX_FIELD_BYTES = 72
+
+
+class _Deltas(dict):
+    """``deltas[w]``: every pair's field change when ``w`` joins a class,
+    packed by ``pack(w)`` on first use and kept.
+
+    It holds the distance rows and the pairs' endpoint getters but not the
+    watcher, so a watcher and its deltas form no reference cycle and are
+    freed as soon as the search drops the watcher.
+    """
+
+    __slots__ = ("dist", "chunk", "u_at", "v_at")
+
+    def __init__(self, dist, chunk, u_at, v_at):
+        super().__init__()
+        self.dist, self.chunk, self.u_at, self.v_at = dist, chunk, u_at, v_at
+
+    def __missing__(self, w: int) -> int:
+        delta = self[w] = self.pack(w)
+        return delta
+
+    def pack(self, w: int) -> int:
+        """Every pair's field change when ``w`` joins a class, packed."""
+        row, chunk = self.dist[w], self.chunk
+        up = b"".join(itemgetter(*self.u_at(row))(chunk))
+        down = b"".join(itemgetter(*self.v_at(row))(chunk))
+        return int.from_bytes(up, "little") - int.from_bytes(down, "little")
 
 
 class _PairWatcher:
@@ -183,24 +214,24 @@ class _PairWatcher:
     The watched pairs are the unordered non-twin pairs (u, v) with ``key[u]
     == key[v]``; with ``key = spheres`` other pairs always separate, and a
     complete pair's fields sum to zero over all classes, so a search may
-    leave its last class uncounted.  Per counted class ``c`` the
-    search keeps one integer with one ``width``-bit field per pair, SWAR
-    style: pair ``p``'s field holds ``bias`` plus the number whose digit
-    ``i-1`` in base ``S+1`` is N_i(u, c) - N_i(v, c), where ``S`` is the
-    largest sphere, the largest entry of ``spheres`` (the string table under
-    all-one ranks).  Each digit lies in ``[-S, S]``, and a number with such
-    digits is 0 only if every digit is, so a field equals ``bias`` exactly
-    when the pair has the same counts on ``c``.  With ``d`` digits (the
-    diameter) the number lies in ``[-bias, bias]`` for ``bias = (S+1)^d -
-    1``, so a field stays in ``[0, 2 bias]`` and no add or subtract reaches
-    its neighbour; a guard bit on top, rounded up to whole bytes, keeps the
-    zero test exact.
+    leave class 0 uncounted.  Per counted class ``c`` the search keeps one
+    integer with one ``width``-bit field per pair, SWAR style: pair ``p``'s
+    field holds ``bias`` plus the number whose digit ``i-1`` in base ``S+1``
+    is N_i(u, c) - N_i(v, c), where ``S`` is the largest sphere, the largest
+    entry of ``spheres`` (the string table under all-one ranks).  Each digit
+    lies in ``[-S, S]``, and a number with such digits is 0 only if every
+    digit is, so a field equals ``bias`` exactly when the pair has the same
+    counts on ``c``.  With ``d`` digits (the diameter) the number lies in
+    ``[-bias, bias]`` for ``bias = (S+1)^d - 1``, so a field stays in ``[0,
+    2 bias]`` and no add or subtract reaches its neighbour; a guard bit on
+    top, rounded up to whole bytes, keeps the zero test exact.
 
-    ``pack(w)`` is the change of every field when ``w`` joins a class,
-    ``(S+1)^(d(u,w)-1) - (S+1)^(d(v,w)-1)`` per pair with ``(S+1)^-1`` read
-    as 0, since no vertex counts itself: placing ``w`` is one add, taking it
-    back one subtract.  ``deltas[w]`` holds it for every ``w``, or is None
-    when fields are wider than ``_PRECOMPUTE_MAX_FIELD_BYTES``.  Pairs are
+    ``_Deltas.pack(w)`` is the change of every field when ``w`` joins a
+    class, ``(S+1)^(d(u,w)-1) - (S+1)^(d(v,w)-1)`` per pair with
+    ``(S+1)^-1`` read as 0, since no vertex counts itself: placing ``w`` is
+    one add, taking it back one subtract.  ``delta_of(w)`` gives it: kept in
+    a ``_Deltas`` memo after its first use, or packed at each use when
+    fields are wider than ``_PRECOMPUTE_MAX_FIELD_BYTES``.  Pairs are
     numbered by the last vertex that tells their endpoints apart, so the
     pairs complete once ``w`` is placed form one field range, and
     ``finalize[w]`` holds its shift and masks.
@@ -208,7 +239,7 @@ class _PairWatcher:
 
     def __init__(self, dm: DistanceMatrix, tc: TupletClasses, spheres, key):
         n = len(dm.dist)
-        dist = self.dist = dm.dist
+        dist = dm.dist
         self.n = n
 
         # class_of[v]: the index of v's twin class; twin_prev[v]: the
@@ -248,14 +279,14 @@ class _PairWatcher:
         # the pairs' u (v) distances from a row; two padding pairs (0, 0)
         # make itemgetter return a tuple for any pair count, and they add
         # the same chunks to both sides of a delta, which cancel
-        self.u_at = itemgetter(*(u for u, _ in self.pairs), 0, 0)
-        self.v_at = itemgetter(*(v for _, v in self.pairs), 0, 0)
+        u_at = itemgetter(*(u for u, _ in self.pairs), 0, 0)
+        v_at = itemgetter(*(v for _, v in self.pairs), 0, 0)
 
         base = max(max(row, default=0) for row in spheres) + 1
         self.bias = base**dm.diameter - 1
         size = (2 * self.bias).bit_length() // 8 + 1  # bytes, guard bit included
         self.width = 8 * size
-        self.chunk = [bytes(size)] + [
+        chunk = [bytes(size)] + [
             (base**i).to_bytes(size, "little") for i in range(dm.diameter)
         ]
 
@@ -276,33 +307,27 @@ class _PairWatcher:
                 repeat(1, m),
             )
             lo += m
-        self.deltas = None
-        if size <= _PRECOMPUTE_MAX_FIELD_BYTES:
-            self.deltas = [self.pack(w) for w in range(n)]
-
-    def pack(self, w: int) -> int:
-        """Every pair's field change when ``w`` joins a class, packed."""
-        row, chunk = self.dist[w], self.chunk
-        up = b"".join(itemgetter(*self.u_at(row))(chunk))
-        down = b"".join(itemgetter(*self.v_at(row))(chunk))
-        return int.from_bytes(up, "little") - int.from_bytes(down, "little")
+        deltas = _Deltas(dist, chunk, u_at, v_at)
+        narrow = size <= _PRECOMPUTE_MAX_FIELD_BYTES
+        self.delta_of = deltas.__getitem__ if narrow else deltas.pack
 
     def search_level(self, rule, level: int, counted: int, budget: int):
         """First labelling in ``rule`` order that separates every pair.
 
         ``rule(n, level, w, used)`` gives vertex ``w``'s ``(label, used
         after)`` options as a tuple in the order they are tried; each tuple
-        is built once per ``(w, used)``.  Labels from ``counted`` up add
-        nothing, which is exact for the label ``level - 1`` of a partition
-        search keyed on spheres (see the class docstring).  Returns
-        ``(labels or None, nodes)``; ``nodes > budget`` if it ran out.
+        is built once per ``(w, used)``.  Labels ``1..counted`` each count
+        one class; label 0 adds nothing, which is exact for class 0 of a
+        partition search keyed on spheres (see the class docstring).
+        Returns ``(labels or None, nodes)``; ``nodes > budget`` if it ran
+        out.
         """
         n = self.n
-        # packed[c]: every pair's field for class c
+        # packed[c - 1]: every pair's field for class c
         packed = [self.bias_all] * counted
         assign = [-1] * n
         nodes = 0
-        delta_of = self.pack if self.deltas is None else self.deltas.__getitem__
+        delta_of = self.delta_of
         finalize = self.finalize
         twin_prev = self.twin_prev
         # options[w][used]: rule's tuple for vertex w, built on first use
@@ -317,8 +342,8 @@ class _PairWatcher:
             c = assign[w]
             if c >= 0:
                 assign[w] = -1
-                if c < counted:
-                    packed[c] -= delta_of(w)
+                if c:
+                    packed[c - 1] -= delta_of(w)
             option = next(pending[w], None)
             if option is None:
                 w -= 1
@@ -332,8 +357,8 @@ class _PairWatcher:
                 if nodes > budget:
                     return None, nodes
                 assign[w] = c
-                if c < counted:
-                    packed[c] += delta_of(w)
+                if c:
+                    packed[c - 1] += delta_of(w)
                 if finalize[w] is not None:
                     shift, mask, bias, high, low = finalize[w]
                     x = 0
@@ -365,9 +390,9 @@ def _partition_labels(n: int, k: int, w: int, used: int):
 
 def _red_set_labels(n: int, r: int, w: int, used: int):
     """Red sets of exactly ``r`` vertices, ``used`` red before vertex ``w``:
-    red (0) before white (1), the sorted sets in lexicographic order."""
-    red = ((0, used + 1),) if used < r else ()
-    white = ((1, used),) if n - w - 1 >= r - used else ()
+    red (1) before white (0), the sorted sets in lexicographic order."""
+    red = ((1, used + 1),) if used < r else ()
+    white = ((0, used),) if n - w - 1 >= r - used else ()
     return red + white
 
 
@@ -395,7 +420,7 @@ def id_index_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdIndexCerti
     total_nodes = 0
     prev_level_nodes = 0
     for k in range(start, g.n + 1):
-        # the last class is implied by the other k - 1 on pairs of equal spheres
+        # class 0 is implied by the other k - 1 on pairs of equal spheres
         assign, nodes = watcher.search_level(
             _partition_labels, k, k - 1, max_nodes - total_nodes
         )
@@ -464,7 +489,7 @@ def id_number_exact(
                 nodes=total_nodes,
             )
         if labels is not None:
-            red = frozenset(v for v in range(g.n) if labels[v] == 0)
+            red = frozenset(v for v in range(g.n) if labels[v] == 1)
             if not is_distinguishing(code_table(dm, red)):
                 raise InternalInvariantError("red set fails code re-verification")
             return red

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,17 @@ import idindex.cli as cli
 import idindex.solvers as solvers
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(*argv):
+    """``python -m idindex.cli`` in a child process that finds ``src``
+    whether or not the package is installed."""
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-m", "idindex.cli", *argv], capture_output=True, text=True, env=env
+    )
 
 
 def run_cli(capsys, *argv):
@@ -840,29 +852,17 @@ class TestTopLevel:
         cli._parser.cache_clear()
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "idindex.cli", "compute", "--family", "path:3"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("compute", "--family", "path:3")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k"] == 2
 
     def test_module_entry_point_matches_golden(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "idindex.cli", "compute", "--family", "petersen"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("compute", "--family", "petersen")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / "exact_petersen.json").read_text()
 
     def test_module_entry_point_input_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "idindex.cli", "analyze", "--family", "path:0"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("analyze", "--family", "path:0")
         assert proc.returncode == 2 and proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -312,8 +312,14 @@ class TestSearchPins:
 class TestImpliedLastClass:
     """The partition search watches only pairs with equal sphere rows, so
     once a pair is complete its fields sum to zero over all ``k`` classes:
-    the last class's field is zero exactly when the other ``k - 1`` are,
-    and counting ``k - 1`` classes walks the same tree."""
+    any one class's field is zero exactly when the other ``k - 1`` are.
+    The search leaves class 0 implied, not the last class, and walks the
+    same tree as one that counts every class.  The search never counts
+    label 0, so that walk uses a rule whose labels are shifted up by 1."""
+
+    @staticmethod
+    def every_class_counted(n, k, w, used):
+        return tuple([(c + 1, u) for c, u in solvers._partition_labels(n, k, w, used)])
 
     def test_counting_k_minus_1_classes_walks_the_same_tree(self):
         graphs = [g for g in connected_corpus_up_to(5) if g.n > 1] + random_corpus(200)
@@ -324,9 +330,80 @@ class TestImpliedLastClass:
             watcher = solvers._PairWatcher(dm, tc, spheres, spheres)
             start = counting_lower_bound(spheres, tc.max_size)
             for k in range(start, id_index_exact(g).k + 1):
-                full = watcher.search_level(solvers._partition_labels, k, k, 2_000)
-                implied = watcher.search_level(solvers._partition_labels, k, k - 1, 2_000)
-                assert implied == full
+                full, full_nodes = watcher.search_level(self.every_class_counted, k, k, 2_000)
+                implied, nodes = watcher.search_level(solvers._partition_labels, k, k - 1, 2_000)
+                assert nodes == full_nodes
+                if full is None:
+                    assert implied is None
+                else:
+                    assert implied == [c - 1 for c in full]
+
+
+class TestFirstUsePacking:
+    """A vertex's packed delta is built the first time it takes a nonzero
+    label, and kept while fields are narrow."""
+
+    @pytest.fixture
+    def packs(self, monkeypatch):
+        calls = []
+        pack = solvers._Deltas.pack
+
+        def spy(deltas, w):
+            calls.append(w)
+            return pack(deltas, w)
+
+        monkeypatch.setattr(solvers._Deltas, "pack", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "spec, packed",
+        [
+            # witness 0^116 1011: one vertex more took class 1 on a branch
+            # that was taken back
+            ("cycle:120", 4),
+            # witness 0^132 1 0^9 11
+            ("grid:12x12", 3),
+            # fields of 119 bytes: packed at placement, and only the last
+            # vertex ever takes class 1
+            ("path:600", 1),
+        ],
+    )
+    def test_large_diameter(self, packs, spec, packed):
+        cert = id_index_exact(graph_for(spec))
+        assert len(packs) == packed
+        assert {v for v, c in enumerate(cert.partition.assignment) if c} <= set(packs)
+
+    def test_each_narrow_delta_is_packed_once(self, packs):
+        for g in random_corpus(200) + [graph_for(t) for t in ["petersen", "prism:8"]]:
+            packs.clear()
+            cert = id_index_exact(g)
+            assert len(packs) == len(set(packs))
+            assert {v for v, c in enumerate(cert.partition.assignment) if c} <= set(packs)
+            packs.clear()
+            red = id_number_exact(g)
+            assert len(packs) == len(set(packs))
+            assert (red or frozenset()) <= set(packs)
+
+    @pytest.mark.parametrize("narrow", [True, False])
+    def test_only_vertices_given_a_nonzero_label_are_packed(self, monkeypatch, packs, narrow):
+        if not narrow:
+            monkeypatch.setattr(solvers, "_PRECOMPUTE_MAX_FIELD_BYTES", 0)
+        rng = random.Random(11)
+        for g in random_corpus(60):
+            # vertices of `offered` try label 1, then 0; the others take 0
+            offered = {v for v in range(g.n) if rng.random() < 0.5}
+
+            def rule(n, level, w, used):
+                return ((1, used), (0, used)) if w in offered else ((0, used),)
+
+            dm = all_pairs_distances(g)
+            spheres = string_table(dm, (1,) * g.n)
+            watcher = solvers._PairWatcher(dm, tuplet_classes(g), spheres, [0] * g.n)
+            packs.clear()
+            watcher.search_level(rule, 0, 1, 2_000)
+            assert set(packs) <= offered
+            if narrow:
+                assert len(packs) == len(set(packs))
 
 
 class TestPackedFields:
@@ -334,9 +411,9 @@ class TestPackedFields:
     field, ``bias`` plus the pair's count differences as base-``(S+1)``
     digits."""
 
-    @pytest.mark.parametrize("precomputed", [True, False])
-    def test_fields_decode_to_count_differences(self, monkeypatch, precomputed):
-        if not precomputed:
+    @pytest.mark.parametrize("narrow", [True, False])
+    def test_fields_decode_to_count_differences(self, monkeypatch, narrow):
+        if not narrow:
             monkeypatch.setattr(solvers, "_PRECOMPUTE_MAX_FIELD_BYTES", 0)
         rng = random.Random(5)
         for n in range(2, 6):
@@ -356,14 +433,17 @@ class TestPackedFields:
                 assert sorted(watcher.pairs) == [
                     (u, v) for u in range(n) for v in range(u + 1, n) if twin[u] != twin[v]
                 ]
-                assert (watcher.deltas is not None) == precomputed
-                delta_of = watcher.pack if watcher.deltas is None else watcher.deltas.__getitem__
+                delta_of = watcher.delta_of
+                memo = delta_of.__self__
+                assert delta_of == (memo.__getitem__ if narrow else memo.pack)
                 bias, width = watcher.bias, watcher.width
                 assert bias == base**diameter - 1
                 assert width > (2 * bias).bit_length()  # a guard bit on top
+                placed = set()
                 for _ in range(2):
                     k = rng.randint(1, 3)
                     labels = [rng.randrange(-1, k) for _ in range(n)]  # -1: unplaced
+                    placed.update(w for w in range(n) if labels[w] >= 0)
                     for c in range(k):
                         y = watcher.bias_all
                         for w in range(n):
@@ -382,6 +462,9 @@ class TestPackedFields:
                                 for i in range(1, diameter + 1)
                             )
                         assert y >> len(watcher.pairs) * width == 0
+                # the memo keeps what it packed; the wide path keeps nothing
+                assert all(memo[w] == memo.pack(w) for w in memo)
+                assert set(memo) == (placed if narrow else set())
 
 
 class TestIdIndexOracle:
