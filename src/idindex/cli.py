@@ -362,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_source(p):
-        p.add_argument("--family", help="family spec, e.g. path:7 or grid:3x4")
-        p.add_argument("--input", help="edge-list file (u v per line, # comments)")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--family", help="family spec, e.g. path:7 or grid:3x4")
+        source.add_argument("--input", help="edge-list file (u v per line, # comments)")
         p.add_argument("--json", help="write the JSON report here instead of stdout")
 
     def add_budget(p):
@@ -376,17 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="exact search (or --id-number / --heuristic)")
     add_graph_source(p)
-    p.add_argument("--id-number", action="store_true", help="minimum red-set search")
-    p.add_argument("--heuristic", action="store_true", help="greedy upper bound")
+    search = p.add_mutually_exclusive_group()
+    search.add_argument("--id-number", action="store_true", help="minimum red-set search")
+    search.add_argument("--heuristic", action="store_true", help="greedy upper bound")
     p.add_argument("--seed", type=int, default=0, help="seed for --heuristic splits")
     add_budget(p)
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify", help="check an assignment or coloring")
     add_graph_source(p)
-    p.add_argument("--ranks", help="rank assignment JSON file")
-    p.add_argument("--coloring", help="coloring JSON file, {'red': [ids]}")
-    p.add_argument(
+    checked = p.add_mutually_exclusive_group()
+    checked.add_argument("--ranks", help="rank assignment JSON file")
+    checked.add_argument("--coloring", help="coloring JSON file, {'red': [ids]}")
+    checked.add_argument(
         "--construct",
         action="store_true",
         help="verify the closed-form construction for --family",
@@ -403,10 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("sweep", help="family range or random batch, CSV output")
-    p.add_argument("--family", help=f"one of: {', '.join(_SWEEPABLE)}")
+    batch = p.add_mutually_exclusive_group()
+    batch.add_argument("--family", help=f"one of: {', '.join(_SWEEPABLE)}")
     p.add_argument("--from", dest="from_", type=int, help="first parameter value")
     p.add_argument("--to", type=int, help="last parameter value")
-    p.add_argument("--random", help="random batch: n=..,count=..[,seed=..]")
+    batch.add_argument("--random", help="random batch: n=..,count=..[,seed=..]")
     p.add_argument("--csv", help="write the CSV here instead of stdout")
     add_budget(p)
     p.add_argument(

@@ -36,12 +36,24 @@ def construct_assignment(spec: FamilySpec) -> tuple[int, ...]:
     return universal_assignment(generate(spec)[0].n)
 
 
+def _two_equal_parts(sizes) -> bool:
+    return len(sizes) == 2 and sizes[0] == sizes[1]
+
+
+def _increasing(sizes) -> bool:
+    return all(a < b for a, b in zip(sizes, sizes[1:]))
+
+
+def _mirror_symmetric(counts) -> bool:
+    return counts == counts[::-1]
+
+
 def _multipartite_ranks(spec):
     sizes = spec.params
-    if len(sizes) == 2 and sizes[0] == sizes[1]:
+    if _two_equal_parts(sizes):
         n = sizes[0]
         return tuple(range(1, n + 1)) + tuple(range(2, n + 2))
-    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+    if not _increasing(sizes):
         raise SpecMismatchError(
             f"no closed form for part sizes {sizes}: need strictly increasing "
             "sizes or exactly two equal parts"
@@ -54,8 +66,7 @@ def _multipartite_ranks(spec):
 
 def _caterpillar_ranks(spec):
     counts = spec.params
-    n = len(counts)
-    if any(counts[i] != counts[n - 1 - i] for i in range(n // 2)):
+    if not _mirror_symmetric(counts):
         raise SpecMismatchError(f"leaf counts {counts} are not mirror-symmetric")
     _, roles = generate(spec)
     ranks = []
@@ -93,11 +104,9 @@ def expected_id_index(spec: FamilySpec) -> int | None:
     if kind == "complete":
         return p[0] if p[0] >= 2 else None
     if kind == "multipartite":
-        if len(p) == 2 and p[0] == p[1]:
+        if _two_equal_parts(p):
             return p[0] + 1
-        if all(a < b for a, b in zip(p, p[1:])):
-            return p[-1]
-        return None
+        return p[-1] if _increasing(p) else None
     if kind == "grid":
         m, n = p
         if m * n == 1:
@@ -108,8 +117,5 @@ def expected_id_index(spec: FamilySpec) -> int | None:
     if kind == "petersen":
         return 3
     if kind == "caterpillar":
-        n = len(p)
-        if any(p[i] != p[n - 1 - i] for i in range(n // 2)):
-            return None
-        return max(max(p), 2)
+        return max(max(p), 2) if _mirror_symmetric(p) else None
     return None

@@ -49,9 +49,10 @@ whose sphere rows differ too, so it counts its one class, red, as label 1
 and leaves white as label 0.  A vertex's packed field change is built the
 first time a counted label is placed on it.
 
-Both searches raise ``BudgetExceededError`` after ``max_nodes`` search
-nodes, ``DEFAULT_MAX_NODES`` unless the caller gives a budget.  Results are
-plain values; ``cli`` writes them as JSON.
+``_PairWatcher.search`` runs the levels of both searches in one loop with
+one node count, so each raises ``BudgetExceededError`` after ``max_nodes``
+nodes over all levels, ``DEFAULT_MAX_NODES`` unless the caller gives a
+budget.  Results are plain values; ``cli`` writes them as JSON.
 """
 
 from __future__ import annotations
@@ -311,72 +312,75 @@ class _PairWatcher:
         narrow = size <= _PRECOMPUTE_MAX_FIELD_BYTES
         self.delta_of = deltas.__getitem__ if narrow else deltas.pack
 
-    def search_level(self, rule, level: int, counted: int, budget: int):
-        """First labelling in ``rule`` order that separates every pair.
+    def search(self, rule, levels, max_nodes: int):
+        """First labelling in ``rule`` order that separates every pair, at
+        the first of the ``(level, counted)`` pairs ``levels`` that has one.
 
         ``rule(n, level, w, used)`` gives vertex ``w``'s ``(label, used
-        after)`` options as a tuple in the order they are tried; each tuple
-        is built once per ``(w, used)``.  Labels ``1..counted`` each count
-        one class; label 0 adds nothing, which is exact for class 0 of a
-        partition search keyed on spheres (see the class docstring).
-        Returns ``(labels or None, nodes)``; ``nodes > budget`` if it ran
-        out.
+        after)`` options as a tuple in try order, built once per level and
+        ``(w, used)``.  Labels ``1..counted`` each count one class; label 0
+        adds nothing (see the class docstring).  Returns ``(level, labels,
+        nodes, last)``: ``nodes`` counts over all levels, ``last`` over the
+        level before ``level``.  ``labels`` is None if ``nodes > max_nodes``,
+        and ``level`` too if no level has one.
         """
         n = self.n
-        # packed[c - 1]: every pair's field for class c
-        packed = [self.bias_all] * counted
-        assign = [-1] * n
-        nodes = 0
         delta_of = self.delta_of
         finalize = self.finalize
         twin_prev = self.twin_prev
-        # options[w][used]: rule's tuple for vertex w, built on first use
-        options = [{} for _ in range(n)]
+        nodes = start = last = 0
+        for level, counted in levels:
+            last, start = nodes - start, nodes
+            # packed[c - 1]: every pair's field for class c
+            packed = [self.bias_all] * counted
+            assign = [-1] * n
+            # options[w][used]: rule's tuple for vertex w, built on first use
+            options = [{} for _ in range(n)]
 
-        # pending[w]: an iterator over the options of vertex w not tried
-        # yet; assign[w] is the label w holds, -1 once it is taken back
-        pending = [None] * n
-        pending[0] = iter(rule(n, level, 0, 0))
-        w = 0
-        while w >= 0:
-            c = assign[w]
-            if c >= 0:
-                assign[w] = -1
-                if c:
-                    packed[c - 1] -= delta_of(w)
-            option = next(pending[w], None)
-            if option is None:
-                w -= 1
-                continue
-            c, used = option
-            for t in twin_prev[w]:
-                if assign[t] == c:
-                    break
-            else:  # no twin of w holds c
-                nodes += 1
-                if nodes > budget:
-                    return None, nodes
-                assign[w] = c
-                if c:
-                    packed[c - 1] += delta_of(w)
-                if finalize[w] is not None:
-                    shift, mask, bias, high, low = finalize[w]
-                    x = 0
-                    for y in packed:
-                        x |= ((y >> shift) & mask) ^ bias
-                    # a zero field of x, a pair equal on every class, keeps
-                    # its guard bit from being set after the subtract
-                    if ((x | high) - low) & high != high:
-                        continue
-                if w == n - 1:
-                    return assign, nodes
-                w += 1
-                cache = options[w]
-                opts = cache.get(used)
-                if opts is None:
-                    opts = cache[used] = rule(n, level, w, used)
-                pending[w] = iter(opts)
-        return None, nodes
+            # pending[w]: an iterator over the options of vertex w not tried
+            # yet; assign[w] is the label w holds, -1 once it is taken back
+            pending = [None] * n
+            pending[0] = iter(rule(n, level, 0, 0))
+            w = 0
+            while w >= 0:
+                c = assign[w]
+                if c >= 0:
+                    assign[w] = -1
+                    if c:
+                        packed[c - 1] -= delta_of(w)
+                option = next(pending[w], None)
+                if option is None:
+                    w -= 1
+                    continue
+                c, used = option
+                for t in twin_prev[w]:
+                    if assign[t] == c:
+                        break
+                else:  # no twin of w holds c
+                    nodes += 1
+                    if nodes > max_nodes:
+                        return level, None, nodes, last
+                    assign[w] = c
+                    if c:
+                        packed[c - 1] += delta_of(w)
+                    if finalize[w] is not None:
+                        shift, mask, bias, high, low = finalize[w]
+                        x = 0
+                        for y in packed:
+                            x |= ((y >> shift) & mask) ^ bias
+                        # a zero field of x, a pair equal on every class, keeps
+                        # its guard bit from being set after the subtract
+                        if ((x | high) - low) & high != high:
+                            continue
+                    if w == n - 1:
+                        return level, assign, nodes, last
+                    w += 1
+                    cache = options[w]
+                    opts = cache.get(used)
+                    if opts is None:
+                        opts = cache[used] = rule(n, level, w, used)
+                    pending[w] = iter(opts)
+        return None, None, nodes, last
 
 
 def _partition_labels(n: int, k: int, w: int, used: int):
@@ -417,35 +421,25 @@ def id_index_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdIndexCerti
     start = counting_lower_bound(spheres, lower)
     watcher = _PairWatcher(dm, tc, spheres, spheres)
     del spheres  # only the bound and the watcher build read it
-    total_nodes = 0
-    prev_level_nodes = 0
-    for k in range(start, g.n + 1):
-        # class 0 is implied by the other k - 1 on pairs of equal spheres
-        assign, nodes = watcher.search_level(
-            _partition_labels, k, k - 1, max_nodes - total_nodes
+    # class 0 is implied by the other k - 1 on pairs of equal spheres
+    levels = ((k, k - 1) for k in range(start, g.n + 1))
+    k, assign, nodes, last = watcher.search(_partition_labels, levels, max_nodes)
+    if nodes > max_nodes:
+        upper = _greedy_upper_bound(dm, tc, 0).k
+        raise BudgetExceededError(
+            f"node budget {max_nodes} exhausted; answer in [{k}, {upper}]",
+            lower=k,
+            upper=upper,
+            nodes=nodes,
         )
-        total_nodes += nodes
-        if total_nodes > max_nodes:
-            upper = _greedy_upper_bound(dm, tc, 0).k
-            raise BudgetExceededError(
-                f"node budget {max_nodes} exhausted; answer in [{k}, {upper}]",
-                lower=k,
-                upper=upper,
-                nodes=total_nodes,
-            )
-        if assign is not None:
-            if k == lower:
-                witness = InfeasibilityWitness(
-                    k - 1, "vacuous" if k == 1 else "tuplet-bound", 0
-                )
-            elif k == start:
-                witness = InfeasibilityWitness(k - 1, "counting-bound", 0)
-            else:
-                witness = InfeasibilityWitness(k - 1, "exhaustive-search", prev_level_nodes)
-            p = Partition(tuple(assign), k)
-            return _certificate(dm, p, lower, witness, total_nodes)
-        prev_level_nodes = nodes
-    raise InternalInvariantError("no identifying partition up to k = n")
+    if assign is None:
+        raise InternalInvariantError("no identifying partition up to k = n")
+    if k == lower:  # then k == start, the first level, where last is 0
+        by = "vacuous" if k == 1 else "tuplet-bound"
+    else:
+        by = "counting-bound" if k == start else "exhaustive-search"
+    witness = InfeasibilityWitness(k - 1, by, last)
+    return _certificate(dm, Partition(tuple(assign), k), lower, witness, nodes)
 
 
 def _certificate(dm, p, lower, witness, nodes, note=None) -> IdIndexCertificate:
@@ -477,23 +471,18 @@ def id_number_exact(
         return None
     # red-only codes can collide even where sphere sizes differ: watch all pairs
     watcher = _PairWatcher(dm, tc, spheres, [0] * g.n)
-    total_nodes = 0
-    for r in range(1, g.n + 1):
-        labels, nodes = watcher.search_level(
-            _red_set_labels, r, 1, max_nodes - total_nodes
+    levels = ((r, 1) for r in range(1, g.n + 1))
+    r, labels, nodes, _ = watcher.search(_red_set_labels, levels, max_nodes)
+    if nodes > max_nodes:
+        raise BudgetExceededError(
+            f"node budget {max_nodes} exhausted at red-set size {r}", nodes=nodes
         )
-        total_nodes += nodes
-        if total_nodes > max_nodes:
-            raise BudgetExceededError(
-                f"node budget {max_nodes} exhausted at red-set size {r}",
-                nodes=total_nodes,
-            )
-        if labels is not None:
-            red = frozenset(v for v in range(g.n) if labels[v] == 1)
-            if not is_distinguishing(code_table(dm, red)):
-                raise InternalInvariantError("red set fails code re-verification")
-            return red
-    return None
+    if labels is None:
+        return None
+    red = frozenset(v for v in range(g.n) if labels[v] == 1)
+    if not is_distinguishing(code_table(dm, red)):
+        raise InternalInvariantError("red set fails code re-verification")
+    return red
 
 
 def greedy_upper_bound(g: Graph, seed: int = 0) -> IdIndexCertificate:

@@ -118,6 +118,20 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--family", "torus:4")
         assert code == 2
 
+    def test_family_and_input_conflict(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "path:3", "--input", "/nonexistent"
+        )
+        assert (code, out) == (2, "")
+        assert "argument --input: not allowed with argument --family" in err
+
+    def test_id_number_and_heuristic_conflict(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "path:3", "--heuristic", "--id-number"
+        )
+        assert (code, out) == (2, "")
+        assert "argument --id-number: not allowed with argument --heuristic" in err
+
     def test_id_number(self, capsys):
         obj = run_json(capsys, "compute", "--family", "path:3", "--id-number")
         assert obj == {"is_id_graph": True, "id_number": 1, "red": [0]}
@@ -366,6 +380,19 @@ class TestVerify:
     def test_needs_some_input(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "path:3")
         assert code == 2 and "need one of" in err
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["--construct"], ["--ranks", "/nonexistent"]),
+            (["--ranks", "/nonexistent"], ["--coloring", "/nonexistent"]),
+            (["--coloring", "/nonexistent"], ["--construct"]),
+        ],
+    )
+    def test_one_of_ranks_coloring_construct(self, capsys, first, second):
+        code, out, err = run_cli(capsys, "verify", "--family", "path:3", *first, *second)
+        assert (code, out) == (2, "")
+        assert f"argument {second[0]}: not allowed with argument {first[0]}" in err
 
 
 class TestAnalyze:
@@ -731,6 +758,14 @@ class TestSweep:
     def test_usage_errors(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    def test_family_and_random_conflict(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "cycle", "--from", "3", "--to", "4",
+            "--random", "n=5,count=2",
+        )
+        assert (code, out) == (2, "")
+        assert "argument --random: not allowed with argument --family" in err
 
     def test_random_item_without_value(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--random", "n5,count=2")

@@ -255,3 +255,25 @@ class TestExpectedIdIndex:
             spec = spec_for(text)
             g, _ = generate(spec)
             assert expected_id_index(spec) == id_index_exact(g).k
+
+    def test_covered_exactly_where_a_route_exists(self):
+        # every multipartite spec of 2-4 parts of sizes 1-3 and every
+        # caterpillar of up to 4 spine vertices with up to 2 leaves each
+        specs = [
+            FamilySpec("multipartite", sizes)
+            for parts in range(2, 5)
+            for sizes in itertools.product(range(1, 4), repeat=parts)
+        ] + [
+            FamilySpec("caterpillar", counts)
+            for spine in range(1, 5)
+            for counts in itertools.product(range(3), repeat=spine)
+            if counts[0] and counts[-1]
+        ]
+        for spec in specs:
+            expected = expected_id_index(spec)
+            try:
+                ranks = construct_assignment(spec)
+            except SpecMismatchError:
+                assert expected is None, spec
+            else:
+                assert len(set(ranks)) == expected, spec

@@ -330,13 +330,74 @@ class TestImpliedLastClass:
             watcher = solvers._PairWatcher(dm, tc, spheres, spheres)
             start = counting_lower_bound(spheres, tc.max_size)
             for k in range(start, id_index_exact(g).k + 1):
-                full, full_nodes = watcher.search_level(self.every_class_counted, k, k, 2_000)
-                implied, nodes = watcher.search_level(solvers._partition_labels, k, k - 1, 2_000)
+                _, full, full_nodes, _ = watcher.search(self.every_class_counted, [(k, k)], 2_000)
+                _, implied, nodes, _ = watcher.search(
+                    solvers._partition_labels, [(k, k - 1)], 2_000
+                )
                 assert nodes == full_nodes
                 if full is None:
                     assert implied is None
                 else:
                     assert implied == [c - 1 for c in full]
+
+
+class TestOneBudgetAcrossLevels:
+    """Both searches spend one node budget over all their levels, and the
+    exhaustive-search witness counts the nodes of level ``k - 1`` alone."""
+
+    @staticmethod
+    def exhaustive_witnesses():
+        graphs = [g for g in connected_corpus_up_to(5) if g.n > 1] + random_corpus(200)
+        for g in graphs:
+            cert = id_index_exact(g)
+            if cert.infeasibility.certified_by == "exhaustive-search":
+                yield g, cert
+
+    def test_red_set_sizes(self):
+        # prism:8 spends 108, 591, 2,320 and 112 nodes on red-set sizes 1 to 4
+        g = graph_for("prism:8")
+        with pytest.raises(BudgetExceededError) as exc:
+            id_number_exact(g, max_nodes=3_130)
+        assert str(exc.value) == "node budget 3130 exhausted at red-set size 4"
+        assert exc.value.nodes == 3_131
+        assert len(id_number_exact(g, max_nodes=3_131)) == 4
+        # size 1 spends the whole budget, so size 2 runs out at its first node
+        with pytest.raises(BudgetExceededError) as exc:
+            id_number_exact(g, max_nodes=108)
+        assert str(exc.value) == "node budget 108 exhausted at red-set size 2"
+        assert exc.value.nodes == 109
+
+    def test_partition_levels(self):
+        witnesses = list(self.exhaustive_witnesses())
+        assert len(witnesses) == 84
+        for g, cert in witnesses:
+            assert id_index_exact(g, max_nodes=cert.nodes_searched) == cert
+            # level k - 1 alone spends infeasibility.nodes, so level k runs out
+            for budget in (cert.nodes_searched - 1, cert.infeasibility.nodes):
+                with pytest.raises(BudgetExceededError) as exc:
+                    id_index_exact(g, max_nodes=budget)
+                assert exc.value.lower == cert.k
+                assert exc.value.nodes == budget + 1
+                assert str(exc.value).startswith(
+                    f"node budget {budget} exhausted; answer in [{cert.k}, "
+                )
+
+    def test_witness_nodes_are_the_level_below(self):
+        rule, budget = solvers._partition_labels, solvers.DEFAULT_MAX_NODES
+        for g, cert in self.exhaustive_witnesses():
+            dm = all_pairs_distances(g)
+            spheres = string_table(dm, (1,) * g.n)
+            watcher = solvers._PairWatcher(dm, tuplet_classes(g), spheres, spheres)
+            levels = [(j, j - 1) for j in range(1, cert.k + 1)]
+            # each level alone, in a fresh search; no level below k has a labelling
+            alone = [watcher.search(rule, [level], budget) for level in levels]
+            assert [r[:2] for r in alone[:-1]] == [(None, None)] * (cert.k - 1)
+            assert alone[-2][2] == cert.infeasibility.nodes
+            # one search over all of them counts every level's nodes and
+            # keeps the count of the level below the answer apart
+            level, labels, nodes, last = watcher.search(rule, levels, budget)
+            assert (level, nodes, last) == (cert.k, sum(r[2] for r in alone), alone[-2][2])
+            assert tuple(labels) == cert.partition.assignment
 
 
 class TestFirstUsePacking:
@@ -400,7 +461,7 @@ class TestFirstUsePacking:
             spheres = string_table(dm, (1,) * g.n)
             watcher = solvers._PairWatcher(dm, tuplet_classes(g), spheres, [0] * g.n)
             packs.clear()
-            watcher.search_level(rule, 0, 1, 2_000)
+            watcher.search(rule, [(0, 1)], 2_000)
             assert set(packs) <= offered
             if narrow:
                 assert len(packs) == len(set(packs))
