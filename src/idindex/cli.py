@@ -154,9 +154,14 @@ def _emit(obj: dict, path: str | None) -> None:
 
 
 def _cmd_compute(args) -> int:
+    if args.heuristic and args.budget_nodes is not None:
+        raise _UsageError("--budget-nodes does not apply to --heuristic")
+    if not args.heuristic and args.seed is not None:
+        raise _UsageError("--seed applies only to --heuristic")
+    budget = args.budget_nodes or DEFAULT_MAX_NODES
     g, _ = _load_graph(args)
     if args.id_number:
-        red = id_number_exact(g, args.budget_nodes)
+        red = id_number_exact(g, budget)
         _emit(
             {
                 "is_id_graph": red is not None,
@@ -167,9 +172,9 @@ def _cmd_compute(args) -> int:
         )
         return 0
     if args.heuristic:
-        cert = greedy_upper_bound(g, seed=args.seed)
+        cert = greedy_upper_bound(g, seed=args.seed or 0)
     else:
-        cert = id_index_exact(g, args.budget_nodes)
+        cert = id_index_exact(g, budget)
     obj = {
         "k_upper" if args.heuristic else "k": cert.k,
         "partition": list(cert.partition.assignment),
@@ -188,10 +193,11 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     g, spec = _load_graph(args)
-    dm = all_pairs_distances(g)
+    # the inputs are checked before the distances, a BFS from every vertex
     if args.coloring:
         usage = "coloring file must look like {'red': [ids]}"
         red = frozenset(_read_ints(args.coloring, "red", usage))
+        dm = all_pairs_distances(g)
         codes = code_table(dm, red)
         pair = first_collision(codes)
         _emit(
@@ -213,6 +219,7 @@ def _cmd_verify(args) -> int:
         ranks = _read_ints(args.ranks, "ranks", usage)
     else:
         raise _UsageError("need one of --ranks, --coloring, --construct")
+    dm = all_pairs_distances(g)
     table = string_table(dm, ranks)
     pair = first_collision(table)
     _emit(
@@ -262,6 +269,8 @@ _SWEEPABLE = ("path", "cycle", "complete", "prism", "grid")
 
 def _sweep_specs(args):
     if args.random:
+        if args.from_ is not None or args.to is not None:
+            raise _UsageError("--from and --to apply only to --family")
         params = {}
         for item in args.random.split(","):
             key, sep, value = item.partition("=")
@@ -304,45 +313,33 @@ def _sweep_specs(args):
 
 
 def _cmd_sweep(args) -> int:
-    rows = []
     mismatch = False
     runs, seed = _sweep_specs(args)
     timing = args.deterministic == "false"
+    lines = [] if seed is None else [f"# seed={seed}\n"]
+    lines.append(
+        "family,params,n,diameter,T,lower_bound,idi,expected,match,nodes_searched,millis\n"
+    )
     for family, params, g, spec in runs:
         started = time.perf_counter()
-        cert = id_index_exact(g, args.budget_nodes)
+        cert = id_index_exact(g, args.budget_nodes or DEFAULT_MAX_NODES)
         millis = int((time.perf_counter() - started) * 1000) if timing else 0
         expected = expected_id_index(spec) if spec is not None else None
         if expected is None:
-            match = ""
+            expected = match = ""
         elif expected == cert.k:
             match = "yes"
         else:
             match = "no"
             mismatch = True
-        rows.append(
-            [
-                family,
-                params,
-                str(g.n),
-                str(len(cert.strings[0])),  # the diameter
-                str(cert.lower_bound),  # T: the largest twin class
-                str(cert.lower_bound),
-                str(cert.k),
-                "" if expected is None else str(expected),
-                match,
-                str(cert.nodes_searched),
-                str(millis),
-            ]
+        # strings[0] has one entry per distance; T and lower_bound are both
+        # the largest twin class
+        diameter, t = len(cert.strings[0]), cert.lower_bound
+        lines.append(
+            f"{family},{params},{g.n},{diameter},{t},{t},{cert.k},{expected},"
+            f"{match},{cert.nodes_searched},{millis}\n"
         )
-    lines = []
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.append(
-        "family,params,n,diameter,T,lower_bound,idi,expected,match,nodes_searched,millis"
-    )
-    lines.extend(",".join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    text = "".join(lines)
     if args.csv:
         Path(args.csv).write_text(text)
     else:
@@ -368,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", help="write the JSON report here instead of stdout")
 
     def add_budget(p):
+        # None when not given (DEFAULT_MAX_NODES), so compute can refuse it
         p.add_argument(
             "--budget-nodes",
             type=_node_budget,
-            default=DEFAULT_MAX_NODES,
             help="search node budget (>= 1)",
         )
 
@@ -380,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     search = p.add_mutually_exclusive_group()
     search.add_argument("--id-number", action="store_true", help="minimum red-set search")
     search.add_argument("--heuristic", action="store_true", help="greedy upper bound")
-    p.add_argument("--seed", type=int, default=0, help="seed for --heuristic splits")
+    p.add_argument("--seed", type=int, help="seed for --heuristic splits")
     add_budget(p)
     p.set_defaults(func=_cmd_compute)
 

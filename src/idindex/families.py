@@ -7,9 +7,9 @@ rank constructions and tests all agree on which vertex is which:
 * complete multipartite: parts occupy consecutive id blocks, in given order;
 * caterpillars: spine first (in path order), then leaves grouped by spine
   vertex, ascending;
-* Cartesian products: pair ``(g, h)`` gets id ``h * |G| + g``; grids are
-  ``path(m) x path(n)`` and prisms are ``cycle(n) x path(2)`` built through
-  the same product routine.
+* Cartesian products: pair ``(g, h)`` gets id ``h * |G| + g``; one product
+  builder serves ``product``, grids (``path(m) x path(n)``) and prisms
+  (``cycle(n) x path(2)``), which keep their own role tags.
 
 Alongside the graph, ``generate`` returns ``roles``, a tuple indexed by
 vertex id that tags each vertex with its structural role, so downstream
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations, pairwise
 
 from .graphs import Graph, build_graph, check_vertex_count, is_connected
 
@@ -75,11 +75,12 @@ def parse_family_spec(text: str) -> FamilySpec:
     if not sep or not rest:
         raise InvalidSpecError(f"missing parameters in {text!r}")
     if kind == "product":
-        # each factor sits in its own parentheses, so their depth is the nesting
-        depth = max(accumulate((ch == "(") - (ch == ")") for ch in rest))
-        if depth > _MAX_PRODUCT_DEPTH:
+        # depth[i]: the parentheses open after rest[i]; each factor sits in its
+        # own parentheses, so the deepest is the nesting
+        depth = list(accumulate((ch == "(") - (ch == ")") for ch in rest))
+        if max(depth) > _MAX_PRODUCT_DEPTH:
             raise InvalidSpecError(f"products nest at most {_MAX_PRODUCT_DEPTH} deep")
-        return _validated(FamilySpec("product", _parse_factors(rest)))
+        return _validated(FamilySpec("product", _parse_factors(rest, depth)))
     if kind == "grid":
         dims = rest.split("x")
         if len(dims) != 2:
@@ -95,28 +96,14 @@ def _int_tuple(parts, context):
         raise InvalidSpecError(f"non-integer parameter in {context!r}") from None
 
 
-def _parse_factors(rest: str):
-    # grammar: (A)x(B) with A, B themselves family specs, possibly nested
-    if not rest.startswith("("):
+def _parse_factors(rest: str, depth: list[int]):
+    # grammar: (A)x(B) with A, B themselves family specs, possibly nested.
+    # When rest opens with "(" its depth starts at 1, so the first 0 is at
+    # the ")" that closes A; otherwise split is 0, which that ")" never is
+    split = depth.index(0) if rest[0] == "(" and 0 in depth else 0
+    if not (split and rest.startswith("x(", split + 1) and rest.endswith(")")):
         raise InvalidSpecError(f"product wants (A)x(B), got {rest!r}")
-    # rest opens with "(", so depth cannot drop below 0 before the split
-    depth = 0
-    split_at = None
-    for i, ch in enumerate(rest):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                split_at = i
-                break
-    if split_at is None or split_at + 1 >= len(rest) or rest[split_at + 1] != "x":
-        raise InvalidSpecError(f"product wants (A)x(B), got {rest!r}")
-    left = rest[1:split_at]
-    right = rest[split_at + 2 :]
-    if not (right.startswith("(") and right.endswith(")")):
-        raise InvalidSpecError(f"product wants (A)x(B), got {rest!r}")
-    return (parse_family_spec(left), parse_family_spec(right[1:-1]))
+    return (parse_family_spec(rest[1:split]), parse_family_spec(rest[split + 3 : -1]))
 
 
 def _validated(spec: FamilySpec) -> FamilySpec:
@@ -214,62 +201,43 @@ def _complete(spec):
 
 def _multipartite(spec):
     sizes = spec.params
-    n = sum(sizes)
-    offsets = []
-    start = 0
-    roles = []
-    for p, m in enumerate(sizes):
-        offsets.append(start)
-        roles.extend(("part", p, j) for j in range(m))
-        start += m
-    edges = []
-    for p in range(len(sizes)):
-        for q in range(p + 1, len(sizes)):
-            for u in range(offsets[p], offsets[p] + sizes[p]):
-                for v in range(offsets[q], offsets[q] + sizes[q]):
-                    edges.append((u, v))
-    return build_graph(n, edges), tuple(roles)
+    parts = [range(a, b) for a, b in pairwise(accumulate(sizes, initial=0))]
+    edges = [(u, v) for pu, pv in combinations(parts, 2) for u in pu for v in pv]
+    roles = tuple(("part", p, j) for p, m in enumerate(sizes) for j in range(m))
+    return build_graph(sum(sizes), edges), roles
 
 
-def _product_edges(ga: Graph, gb: Graph):
-    # (g, h) -> h * |G| + g
-    edges = []
+def _product_of(sa: FamilySpec, sb: FamilySpec):
+    """The Cartesian product of the graphs of ``sa`` and ``sb``, with the
+    roles of both factors: pair ``(g, h)`` gets id ``h * |G| + g``."""
+    ga, roles_a = generate(sa)
+    gb, roles_b = generate(sb)
     na = ga.n
+    edges_a = list(ga.edges())
+    edges = []
     for h in range(gb.n):
         base = h * na
-        for u, v in ga.edges():
-            edges.append((base + u, base + v))
+        edges.extend((base + u, base + v) for u, v in edges_a)
     for u, v in gb.edges():
-        for gvert in range(na):
-            edges.append((u * na + gvert, v * na + gvert))
-    return edges
+        base_u, base_v = u * na, v * na
+        edges.extend((base_u + g, base_v + g) for g in range(na))
+    return build_graph(na * gb.n, edges), roles_a, roles_b
 
 
 def _product(spec):
-    sa, sb = spec.params
-    ga, roles_a = generate(sa)
-    gb, roles_b = generate(sb)
-    g = build_graph(ga.n * gb.n, _product_edges(ga, gb))
-    roles = []
-    for h in range(gb.n):
-        for gvert in range(ga.n):
-            roles.append(("product", roles_a[gvert], roles_b[h]))
-    return g, tuple(roles)
+    g, roles_a, roles_b = _product_of(*spec.params)
+    return g, tuple(("product", a, b) for b in roles_b for a in roles_a)
 
 
 def _grid(spec):
     m, n = spec.params
-    ga, _ = generate(FamilySpec("path", (m,)))
-    gb, _ = generate(FamilySpec("path", (n,)))
-    g = build_graph(m * n, _product_edges(ga, gb))
+    g, _, _ = _product_of(FamilySpec("path", (m,)), FamilySpec("path", (n,)))
     return g, tuple(("grid", v % m, v // m) for v in range(m * n))
 
 
 def _prism(spec):
     (n,) = spec.params
-    ga, _ = generate(FamilySpec("cycle", (n,)))
-    gb, _ = generate(FamilySpec("path", (2,)))
-    g = build_graph(2 * n, _product_edges(ga, gb))
+    g, _, _ = _product_of(FamilySpec("cycle", (n,)), FamilySpec("path", (2,)))
     return g, tuple(("prism", v % n, v // n) for v in range(2 * n))
 
 

@@ -243,22 +243,19 @@ class _PairWatcher:
         dist = dm.dist
         self.n = n
 
-        # class_of[v]: the index of v's twin class; twin_prev[v]: the
-        # members of that class listed before v
-        class_of = [0] * n
-        self.twin_prev = [()] * n
-        for ci, cls in enumerate(tc.classes):
+        # twin_prev[v]: the members of v's twin class below v
+        twin_prev = self.twin_prev = [()] * n
+        for cls in tc.classes:
             for i, v in enumerate(cls.members):
-                class_of[v] = ci
-                self.twin_prev[v] = cls.members[:i]
+                twin_prev[v] = cls.members[:i]
         groups: dict = {}
         for v in range(n):
             groups.setdefault(key[v], []).append(v)
         # a group of one vertex has no pair to watch
         groups = [members for members in groups.values() if len(members) > 1]
+        # twins share every key, so each twin pair lies inside one group
         pair_count = sum(
-            comb(len(members), 2)
-            - sum(comb(m, 2) for m in Counter(map(class_of.__getitem__, members)).values())
+            comb(len(members), 2) - sum(len(twin_prev[v]) for v in members)
             for members in groups
         )
         if pair_count * n > _MAX_WATCH_ENTRIES:
@@ -267,9 +264,11 @@ class _PairWatcher:
             )
         pairs = []
         for members in groups:
-            for i, u in enumerate(members):
-                for v in members[i + 1 :]:
-                    if class_of[u] != class_of[v]:
+            for i, v in enumerate(members):
+                # as a set, so a pair costs one test however large v's twin class
+                twins = set(twin_prev[v])
+                for u in members[:i]:
+                    if u not in twins:
                         du, dv = dist[u], dist[v]
                         last = n - 1  # w = u and w = v always tell them apart
                         while du[last] == dv[last]:
@@ -508,29 +507,16 @@ def _greedy_upper_bound(
     for cls in tc.classes:
         for j, v in enumerate(cls.members):
             labels[v] = j
-    p = to_restricted_growth(labels)
     while True:
-        # the last pass verifies the returned certificate's own strings
+        p = to_restricted_growth(labels)
         ranks = certificate_ranks(p)
         strings = string_table(dm, ranks)
         pair = first_collision(strings)
-        if pair is None:
-            break
-        u, v = pair
-        sizes = [p.assignment.count(p.assignment[x]) for x in (u, v)]
-        candidates = [x for x, s in zip((u, v), sizes) if s >= 2]
+        if pair is None:  # this pass verified the certificate's own strings
+            return IdIndexCertificate(p.k, p, ranks, strings, tc.max_size, None, 0)
+        labels = list(p.assignment)
+        candidates = [x for x in pair if labels.count(labels[x]) >= 2]
         if not candidates:
             raise InternalInvariantError("colliding pair of two singleton classes")
         pick = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
-        labels = list(p.assignment)
         labels[pick] = p.k  # fresh class
-        p = to_restricted_growth(labels)
-    return IdIndexCertificate(
-        k=p.k,
-        partition=p,
-        ranks=ranks,
-        strings=strings,
-        lower_bound=tc.max_size,
-        infeasibility=None,
-        nodes_searched=0,
-    )

@@ -281,6 +281,20 @@ class TestCompute:
         assert code == 0, err
         assert json.loads(out)["is_id_graph"] is False
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--heuristic", "--budget-nodes", "1"],
+             "--budget-nodes does not apply to --heuristic"),
+            (["--id-number", "--seed", "5"], "--seed applies only to --heuristic"),
+            (["--seed", "0"], "--seed applies only to --heuristic"),
+        ],
+        ids=["heuristic-budget", "id-number-seed", "exact-seed"],
+    )
+    def test_refuses_a_flag_the_mode_ignores(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "compute", "--family", "prism:8", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", ["compute", "verify", "analyze"])
     def test_deterministic_is_a_sweep_flag(self, capsys, command):
         code, out, err = run_cli(capsys, command, "--family", "path:3",
@@ -376,6 +390,21 @@ class TestVerify:
         path.write_text("[" * 100_000 + "]" * 100_000)
         code, out, err = run_cli(capsys, "verify", "--family", "path:3", flag, str(path))
         assert (code, out, err) == (2, "", f"error: {usage}\n")
+
+    @pytest.mark.parametrize("flag", ["--ranks", "--coloring", None])
+    def test_inputs_checked_before_distances(self, capsys, monkeypatch, tmp_path, flag):
+        def unreachable(g):
+            raise AssertionError("distances computed before the inputs were checked")
+
+        monkeypatch.setattr(cli, "all_pairs_distances", unreachable)
+        missing = str(tmp_path / "missing.json")
+        argv = ["verify", "--family", "path:2000"] + ([flag, missing] if flag else [])
+        code, out, err = run_cli(capsys, *argv)
+        if flag:
+            message = f"[Errno 2] No such file or directory: {missing!r}"
+        else:
+            message = "need one of --ranks, --coloring, --construct"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_needs_some_input(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "path:3")
@@ -766,6 +795,13 @@ class TestSweep:
         )
         assert (code, out) == (2, "")
         assert "argument --random: not allowed with argument --family" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--from", "3", "--to", "9"], ["--from", "3"], ["--to", "9"]]
+    )
+    def test_random_refuses_a_range(self, capsys, flags):
+        code, out, err = run_cli(capsys, "sweep", "--random", "n=5,count=2", *flags)
+        assert (code, out, err) == (2, "", "error: --from and --to apply only to --family\n")
 
     def test_random_item_without_value(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--random", "n5,count=2")

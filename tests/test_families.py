@@ -68,11 +68,19 @@ class TestParseFamilySpec:
             "product:(cycle:5)",
             "product:cycle:5xpath:2",
             "product:(cycle:5)x(path:2",
+            "product:path:2x(path:2)",  # no leading "("
+            "product:(path:2)(path:2)",  # no "x" after the first factor
+            "product:(path:2x(path:2)",  # the first factor never closes
+            "product:(path:2)xpath:2",  # a right factor without parentheses
+            "product:(path:2))((path:2)",  # ")(" between the factors
         ],
     )
     def test_rejects(self, text):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError) as excinfo:
             parse_family_spec(text)
+        kind, _, rest = text.partition(":")
+        if kind == "product":  # every malformed product here has the wrong shape
+            assert str(excinfo.value) == f"product wants (A)x(B), got {rest!r}"
 
     @pytest.mark.parametrize(
         "spec",
@@ -97,6 +105,7 @@ class TestParseFamilySpec:
             "multipartite:1,2,3",
             "caterpillar:2,0,2",
             "product:(cycle:5)x(path:2)",
+            "product:(product:(product:(path:2)x(cycle:3))x(path:2))x(petersen)",
         ],
     )
     def test_label_round_trip(self, text):

@@ -528,6 +528,31 @@ class TestPackedFields:
                 assert set(memo) == (placed if narrow else set())
 
 
+class TestWatchLimit:
+    """The refusal's entry count is the number of pairs the watcher builds
+    times ``n``, and the limit is inclusive."""
+
+    @pytest.mark.parametrize("key_name", ["spheres", "constant"])
+    def test_count_matches_the_pairs_built(self, monkeypatch, key_name):
+        limit = solvers._MAX_WATCH_ENTRIES
+        graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+        for g in graphs + random_corpus(200):
+            dm = all_pairs_distances(g)
+            tc = tuplet_classes(g)
+            spheres = string_table(dm, (1,) * g.n)
+            key = spheres if key_name == "spheres" else [0] * g.n
+            monkeypatch.setattr(solvers, "_MAX_WATCH_ENTRIES", limit)
+            entries = len(solvers._PairWatcher(dm, tc, spheres, key).pairs) * g.n
+            monkeypatch.setattr(solvers, "_MAX_WATCH_ENTRIES", entries - 1)
+            with pytest.raises(BudgetExceededError) as excinfo:
+                solvers._PairWatcher(dm, tc, spheres, key)
+            assert str(excinfo.value) == (
+                f"pair tables need {entries} entries, limit {entries - 1}"
+            )
+            monkeypatch.setattr(solvers, "_MAX_WATCH_ENTRIES", entries)
+            solvers._PairWatcher(dm, tc, spheres, key)
+
+
 class TestIdIndexOracle:
     def test_path3(self):
         assert id_index_oracle(graph_for("path:3"), [1, 4, 16]) == 2
