@@ -320,9 +320,18 @@ def _cmd_sweep(args) -> int:
     lines.append(
         "family,params,n,diameter,T,lower_bound,idi,expected,match,nodes_searched,millis\n"
     )
+    out_of_budget = None
     for family, params, g, spec in runs:
         started = time.perf_counter()
-        cert = id_index_exact(g, args.budget_nodes or DEFAULT_MAX_NODES)
+        try:
+            cert = id_index_exact(g, args.budget_nodes or DEFAULT_MAX_NODES)
+        except BudgetExceededError as exc:
+            # the rows finished so far are still written; the message names
+            # the row that ran out
+            out_of_budget = BudgetExceededError(
+                f"{family}:{params}: {exc}", exc.lower, exc.upper, exc.nodes
+            )
+            break
         millis = int((time.perf_counter() - started) * 1000) if timing else 0
         expected = expected_id_index(spec) if spec is not None else None
         if expected is None:
@@ -344,6 +353,8 @@ def _cmd_sweep(args) -> int:
         Path(args.csv).write_text(text)
     else:
         sys.stdout.write(text)
+    if out_of_budget is not None:
+        raise out_of_budget
     if mismatch:
         print("sweep: exact value disagreed with expected value", file=sys.stderr)
         return 5

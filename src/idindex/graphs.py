@@ -227,8 +227,9 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
     Vertex 0 reaches every vertex exactly when the graph is connected, so
     only its BFS row is checked.  The other rows come from ball growth when
-    ``n <= 255`` and ``40 * ecc(0) <= n + 2m``, else from BFS; either way
-    the rows share one int object per distance.
+    ``n <= 255`` and the diameter looks small against ``n + 2m`` (see
+    below), else from BFS; either way the rows share one int object per
+    distance.
     """
     n = g.n
     steps = list(range(n + 1))
@@ -236,17 +237,28 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     if -1 in first:
         raise DisconnectedError("no path from vertex 0 to some vertex")
     # BFS costs about n * (n + 2m) edge steps; ball growth costs n reduces
-    # per level and at most 2 * ecc(0) levels.  One reduce cost 10-14 steps
+    # per level, one level per unit of diameter.  One reduce cost 10-14 steps
     # on cycles of 12-250 vertices, 14-21 on grids of 16-225 and 14-20 on
     # sparse G(n, p) with n <= 120 (2-vCPU host, CPython 3.11; more on
     # denser graphs, where BFS is slower still).  At 20 steps a reduce, balls
-    # win once 2 * ecc(0) * 20 <= n + 2m.  Each graph this sends to balls ran
-    # faster there: the 400 G(30, 1/4) graphs of the random_batch benchmark
-    # 1.6-2.5x, C7xC7 1.9x, G(250, 1/2) 28x.  cycle:120 stays on BFS, 2.1x
-    # faster, and so do the Petersen graph, Q5 and grid:12x12 (vertex 0 a
-    # corner), where balls would win 1.2x, 1.5x and 1.7x: the rule takes the
-    # diameter's worst case, twice ecc(0).
-    if n <= 255 and 40 * max(first) <= n + sum(map(len, g.adj)):
-        return DistanceMatrix(*_ball_rows(g))
-    rows = (tuple(first),) + tuple(tuple(_bfs_row(g, v, steps)) for v in range(1, n))
+    # win once 20 * diameter <= n + 2m.  The diameter is at most 2 * ecc(0),
+    # so 40 * ecc(0) <= n + 2m sends a graph to balls at once: the 400
+    # G(30, 1/4) graphs of the random_batch benchmark ran 1.6-2.5x faster
+    # there, C7xC7 1.9x, G(250, 1/2) 28x.  Otherwise the row of a vertex x
+    # farthest from 0 gives ecc(x), at most the diameter and close to it
+    # when 0 is peripheral, and 20 * ecc(x) < n + 2m sends the graph to
+    # balls: Petersen x K2 0.088 against 0.111 ms by BFS, Q5 0.222 against
+    # 0.303 ms, grid:12x12 2.12 against 3.44 ms.  The Petersen graph (20 *
+    # ecc(x) = n + 2m = 40) stays on BFS, 0.029 against 0.033 ms, and so
+    # does cycle:120, 2.1x faster than balls; BFS reuses the row of x.
+    size = n + sum(map(len, g.adj))
+    rows = [first] + [None] * (n - 1)
+    if n <= 255:
+        if 40 * max(first) <= size:
+            return DistanceMatrix(*_ball_rows(g))
+        far = first.index(max(first))
+        rows[far] = _bfs_row(g, far, steps)
+        if 20 * max(rows[far]) < size:
+            return DistanceMatrix(*_ball_rows(g))
+    rows = tuple(tuple(row or _bfs_row(g, v, steps)) for v, row in enumerate(rows))
     return DistanceMatrix(rows, max(map(max, rows)))

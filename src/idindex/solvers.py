@@ -37,7 +37,13 @@ per vertex and count of labels used.  The search prunes by
   kills a branch as soon as the last vertex able to separate a pair is
   placed while that field is zero on every class.  The fields of one class
   are packed into a single integer, so placing a vertex is one big-int add
-  and the pairs it completes are checked with one zero-field test.
+  and the pairs it completes are checked with one zero-field test;
+* red-set look-ahead: only reds change a field, so once the last red of a
+  size is placed every field is final, and the red-set search tests the
+  whole integer for a zero field at once instead of walking the forced
+  whites to each pair's last separator.  This is the resolving-set
+  argument (Slater 1975; Harary & Melter 1976): a pair that no red
+  separates keeps equal codes.
 
 Label 0 is never counted.  The partition search counts classes ``1..k-1``;
 class 0 is implied.  It watches only pairs with equal sphere rows, and
@@ -236,6 +242,14 @@ class _PairWatcher:
     numbered by the last vertex that tells their endpoints apart, so the
     pairs complete once ``w`` is placed form one field range, and
     ``finalize[w]`` holds its shift and masks.
+
+    The red-set look-ahead needs neither a shift nor a mask per vertex.
+    When the last red is placed at ``w``, every pair whose last separator
+    is below ``w`` has passed its ``finalize`` test on this branch, and no
+    vertex after its last separator changes its field.  So a zero field
+    anywhere in the integer belongs to a pair complete at ``w`` or still
+    open, and since no red follows, either fails: the test runs on the
+    whole integer with masks repeated over every pair, built per search.
     """
 
     def __init__(self, dm: DistanceMatrix, tc: TupletClasses, spheres, key):
@@ -311,7 +325,7 @@ class _PairWatcher:
         narrow = size <= _PRECOMPUTE_MAX_FIELD_BYTES
         self.delta_of = deltas.__getitem__ if narrow else deltas.pack
 
-    def search(self, rule, levels, max_nodes: int):
+    def search(self, rule, levels, max_nodes: int, look_ahead: bool = False):
         """First labelling in ``rule`` order that separates every pair, at
         the first of the ``(level, counted)`` pairs ``levels`` that has one.
 
@@ -322,11 +336,24 @@ class _PairWatcher:
         nodes, last)``: ``nodes`` counts over all levels, ``last`` over the
         level before ``level``.  ``labels`` is None if ``nodes > max_nodes``,
         and ``level`` too if no level has one.
+
+        ``look_ahead`` is for one counted class whose labels ``used``
+        counts, as in the red-set rule: the counted placement that makes
+        ``used == level`` is the last, and it tests every field of
+        ``packed[0]`` for zero in place of ``finalize[w]`` (see the class
+        docstring).
         """
         n = self.n
         delta_of = self.delta_of
         finalize = self.finalize
         twin_prev = self.twin_prev
+        if look_ahead:
+            # the guard and low bits of every field, as in finalize
+            low_all = int.from_bytes(
+                (1).to_bytes(self.width // 8, "little") * len(self.pairs), "little"
+            )
+            high_all = low_all << self.width - 1
+            flip_all = self.bias_all | high_all
         nodes = start = last = 0
         for level, counted in levels:
             last, start = nodes - start, nodes
@@ -362,7 +389,12 @@ class _PairWatcher:
                     assign[w] = c
                     if c:
                         packed[c - 1] += delta_of(w)
-                    if finalize[w] is not None:
+                    if look_ahead and c and used == level:
+                        # field ^ bias is zero exactly on a pair equal on the
+                        # class; the guard bit is clear in field and bias
+                        if ((packed[0] ^ flip_all) - low_all) & high_all != high_all:
+                            continue
+                    elif finalize[w] is not None:
                         shift, mask, bias, high, low = finalize[w]
                         x = 0
                         for y in packed:
@@ -471,7 +503,7 @@ def id_number_exact(
     # red-only codes can collide even where sphere sizes differ: watch all pairs
     watcher = _PairWatcher(dm, tc, spheres, [0] * g.n)
     levels = ((r, 1) for r in range(1, g.n + 1))
-    r, labels, nodes, _ = watcher.search(_red_set_labels, levels, max_nodes)
+    r, labels, nodes, _ = watcher.search(_red_set_labels, levels, max_nodes, look_ahead=True)
     if nodes > max_nodes:
         raise BudgetExceededError(
             f"node budget {max_nodes} exhausted at red-set size {r}", nodes=nodes

@@ -762,6 +762,23 @@ class TestSweep:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("to_csv", [False, True])
+    def test_budget_exit_keeps_finished_rows(self, capsys, tmp_path, to_csv):
+        # cycle:3 and cycle:4 take 3 and 11 nodes, cycle:5 runs out at 31
+        target = tmp_path / "rows.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--family", "cycle", "--from", "3", "--to", "8",
+            "--budget-nodes", "30", *(["--csv", str(target)] if to_csv else []),
+        )
+        assert code == 3
+        assert err == "budget: cycle:5: node budget 30 exhausted; answer in [3, 3]\n"
+        if to_csv:
+            assert out == ""
+            out = target.read_text()
+        golden = (GOLDEN / "sweep_cycle_3_12.csv").read_text().splitlines(keepends=True)
+        assert out == "".join(golden[:3])
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_a_usage_error(self, capsys, budget):
         code, out, _ = run_cli(

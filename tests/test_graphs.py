@@ -331,7 +331,17 @@ def _kernel(monkeypatch, g):
 
 class TestKernelSelection:
     @pytest.mark.parametrize(
-        "spec", ["complete:30", "product:(cycle:7)x(cycle:7)", "product:(complete:4)x(complete:5)"]
+        "spec",
+        [
+            "complete:30",
+            "product:(cycle:7)x(cycle:7)",
+            "product:(complete:4)x(complete:5)",
+            # 40 * ecc(0) > n + 2m: chosen by the row of a vertex farthest from 0
+            "grid:12x12",
+            "product:(petersen)x(path:2)",
+            # the 5-cube
+            "product:(product:(product:(product:(path:2)x(path:2))x(path:2))x(path:2))x(path:2)",
+        ],
     )
     def test_ball_growth(self, monkeypatch, spec):
         assert _kernel(monkeypatch, generate(parse_family_spec(spec))[0]) == "balls"
@@ -342,8 +352,21 @@ class TestKernelSelection:
             g = _connected_gnp(30, 0.25, rng)
             assert _kernel(monkeypatch, g) == "balls"
 
-    @pytest.mark.parametrize(
-        "spec", ["cycle:120", "grid:12x12", "path:600", "complete:256", "petersen"]
-    )
+    # the Petersen graph sits on the boundary, 20 * ecc(x) = n + 2m = 40
+    @pytest.mark.parametrize("spec", ["cycle:120", "path:600", "complete:256", "petersen"])
     def test_bfs(self, monkeypatch, spec):
         assert _kernel(monkeypatch, generate(parse_family_spec(spec))[0]) == "bfs"
+
+    @pytest.mark.parametrize("spec", ["cycle:120", "petersen", "path:200", "path:600"])
+    def test_bfs_computes_each_row_once(self, monkeypatch, spec):
+        # below 256 vertices the row of a vertex farthest from 0 is taken
+        # before BFS is chosen, and kept
+        g = generate(parse_family_spec(spec))[0]
+        want = _bfs_rows(g)
+        sources = []
+        real = graphs._bfs_row
+        monkeypatch.setattr(
+            graphs, "_bfs_row", lambda g, v, steps: sources.append(v) or real(g, v, steps)
+        )
+        assert [list(row) for row in all_pairs_distances(g).dist] == want
+        assert sorted(sources) == list(range(g.n))
