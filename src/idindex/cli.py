@@ -48,7 +48,7 @@ from pathlib import Path
 
 from .constructions import construct_assignment, expected_id_index
 from .families import FamilySpec, generate, parse_family_spec, random_connected_graph
-from .graphs import Graph, all_pairs_distances, parse_edge_list
+from .graphs import Graph, all_pairs_distances, check_vertex_count, parse_edge_list
 from .solvers import (
     DEFAULT_MAX_NODES,
     BudgetExceededError,
@@ -267,31 +267,36 @@ def _cmd_construct(args) -> int:
 _SWEEPABLE = ("path", "cycle", "complete", "prism", "grid")
 
 
-def _sweep_specs(args):
+def _sweep_rows(args):
+    """The head of a sweep's CSV and its rows ``(family, params, graph,
+    spec)``, after every argument is checked: each graph is built only when
+    its row is taken."""
     if args.random:
         if args.from_ is not None or args.to is not None:
             raise _UsageError("--from and --to apply only to --family")
         params = {}
         for item in args.random.split(","):
             key, sep, value = item.partition("=")
+            key = key.strip()
             if not sep:
                 raise _UsageError(f"bad --random item {item!r}")
+            if key in params:
+                raise _UsageError(f"repeated --random key {key!r}")
             try:
-                params[key.strip()] = int(value)
+                params[key] = int(value)
             except ValueError:
                 raise _UsageError(f"bad --random value {value!r}") from None
-        unknown = set(params) - {"n", "count", "seed"}
-        if unknown or "n" not in params or "count" not in params:
+        if not {"n", "count"} <= params.keys() <= {"n", "count", "seed"}:
             raise _UsageError("--random wants n=..,count=..[,seed=..]")
-        if params["n"] < 1 or params["count"] < 1:
+        n, count, seed = params["n"], params["count"], params.get("seed", 0)
+        if n < 1 or count < 1:
             raise _UsageError("--random n and count must be >= 1")
-        seed = params.get("seed", 0)
+        check_vertex_count(n)
         rng = random.Random(seed)
-        out = []
-        for i in range(params["count"]):
-            g = random_connected_graph(params["n"], rng)
-            out.append(("random", f"n={params['n']};i={i}", g, None))
-        return out, seed
+        return f"# seed={seed}\n", (
+            ("random", f"n={n};i={i}", random_connected_graph(n, rng), None)
+            for i in range(count)
+        )
     if not args.family:
         raise _UsageError("need --family KIND with --from/--to, or --random")
     if args.family not in _SWEEPABLE:
@@ -303,58 +308,43 @@ def _sweep_specs(args):
     if args.from_ > args.to:
         raise _UsageError("--from must not exceed --to")
     sizes = range(args.from_, args.to + 1)
-    out = []
     params = itertools.product(sizes, sizes) if args.family == "grid" else zip(sizes)
-    for p in params:
-        spec = FamilySpec(args.family, p)
-        g, _ = generate(spec)
-        out.append((args.family, "x".join(map(str, p)), g, spec))
-    return out, None
+    specs = [FamilySpec(args.family, p) for p in params]
+    return "", ((s.kind, "x".join(map(str, s.params)), generate(s)[0], s) for s in specs)
 
 
 def _cmd_sweep(args) -> int:
     mismatch = False
-    runs, seed = _sweep_specs(args)
+    head, rows = _sweep_rows(args)
     timing = args.deterministic == "false"
-    lines = [] if seed is None else [f"# seed={seed}\n"]
-    lines.append(
-        "family,params,n,diameter,T,lower_bound,idi,expected,match,nodes_searched,millis\n"
-    )
-    out_of_budget = None
-    for family, params, g, spec in runs:
-        started = time.perf_counter()
-        try:
-            cert = id_index_exact(g, args.budget_nodes or DEFAULT_MAX_NODES)
-        except BudgetExceededError as exc:
-            # the rows finished so far are still written; the message names
-            # the row that ran out
-            out_of_budget = BudgetExceededError(
-                f"{family}:{params}: {exc}", exc.lower, exc.upper, exc.nodes
-            )
-            break
-        millis = int((time.perf_counter() - started) * 1000) if timing else 0
-        expected = expected_id_index(spec) if spec is not None else None
-        if expected is None:
-            expected = match = ""
-        elif expected == cert.k:
-            match = "yes"
-        else:
-            match = "no"
-            mismatch = True
-        # strings[0] has one entry per distance; T and lower_bound are both
-        # the largest twin class
-        diameter, t = len(cert.strings[0]), cert.lower_bound
-        lines.append(
-            f"{family},{params},{g.n},{diameter},{t},{t},{cert.k},{expected},"
-            f"{match},{cert.nodes_searched},{millis}\n"
+    with open(args.csv, "w") if args.csv else nullcontext(sys.stdout) as fh:
+        fh.write(
+            head + "family,params,n,diameter,T,lower_bound,idi,expected,match,"
+            "nodes_searched,millis\n"
         )
-    text = "".join(lines)
-    if args.csv:
-        Path(args.csv).write_text(text)
-    else:
-        sys.stdout.write(text)
-    if out_of_budget is not None:
-        raise out_of_budget
+        for family, params, g, spec in rows:
+            started = time.perf_counter()
+            try:
+                cert = id_index_exact(g, args.budget_nodes or DEFAULT_MAX_NODES)
+            except BudgetExceededError as exc:
+                # the finished rows are written; the message names this row
+                raise BudgetExceededError(f"{family}:{params}: {exc}") from None
+            millis = int((time.perf_counter() - started) * 1000) if timing else 0
+            expected = expected_id_index(spec) if spec is not None else None
+            if expected is None:
+                expected = match = ""
+            elif expected == cert.k:
+                match = "yes"
+            else:
+                match = "no"
+                mismatch = True
+            # strings[0] has one entry per distance; T and lower_bound are
+            # both the largest twin class
+            diameter, t = len(cert.strings[0]), cert.lower_bound
+            fh.write(
+                f"{family},{params},{g.n},{diameter},{t},{t},{cert.k},{expected},"
+                f"{match},{cert.nodes_searched},{millis}\n"
+            )
     if mismatch:
         print("sweep: exact value disagreed with expected value", file=sys.stderr)
         return 5

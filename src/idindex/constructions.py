@@ -20,7 +20,7 @@ number when a known closed form pins it down, and None otherwise.
 
 from __future__ import annotations
 
-from .families import FamilySpec, generate
+from .families import FamilySpec, generate, vertex_count
 
 
 class SpecMismatchError(ValueError):
@@ -33,7 +33,7 @@ def construct_assignment(spec: FamilySpec) -> tuple[int, ...]:
         return _multipartite_ranks(spec)
     if spec.kind == "caterpillar":
         return _caterpillar_ranks(spec)
-    return universal_assignment(generate(spec)[0].n)
+    return universal_assignment(vertex_count(spec))
 
 
 def _two_equal_parts(sizes) -> bool:

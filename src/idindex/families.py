@@ -11,6 +11,8 @@ rank constructions and tests all agree on which vertex is which:
   builder serves ``product``, grids (``path(m) x path(n)``) and prisms
   (``cycle(n) x path(2)``), which keep their own role tags.
 
+A ``FamilySpec`` is checked when it is made: its parameters, and its
+vertex count against ``MAX_VERTICES``, before any graph is built.
 Alongside the graph, ``generate`` returns ``roles``, a tuple indexed by
 vertex id that tags each vertex with its structural role, so downstream
 code never has to re-derive the numbering conventions.
@@ -40,10 +42,15 @@ class FamilySpec:
 
     ``params`` holds integers, except for ``product`` where it holds the two
     factor specs.  Instances render back to the CLI grammar via ``label``.
+    Making one checks its parameters and its vertex count, at most
+    ``MAX_VERTICES``; no graph is built.
     """
 
     kind: str
     params: tuple = ()
+
+    def __post_init__(self):
+        check_vertex_count(vertex_count(self))
 
     def label(self) -> str:
         if self.kind == "petersen":
@@ -71,7 +78,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     if kind == "petersen":
         if sep:
             raise InvalidSpecError("petersen takes no parameters")
-        return _validated(FamilySpec("petersen"))
+        return FamilySpec("petersen")
     if not sep or not rest:
         raise InvalidSpecError(f"missing parameters in {text!r}")
     if kind == "product":
@@ -80,13 +87,13 @@ def parse_family_spec(text: str) -> FamilySpec:
         depth = list(accumulate((ch == "(") - (ch == ")") for ch in rest))
         if max(depth) > _MAX_PRODUCT_DEPTH:
             raise InvalidSpecError(f"products nest at most {_MAX_PRODUCT_DEPTH} deep")
-        return _validated(FamilySpec("product", _parse_factors(rest, depth)))
+        return FamilySpec("product", _parse_factors(rest, depth))
     if kind == "grid":
         dims = rest.split("x")
         if len(dims) != 2:
             raise InvalidSpecError(f"grid wants MxN, got {rest!r}")
-        return _validated(FamilySpec("grid", _int_tuple(dims, text)))
-    return _validated(FamilySpec(kind, _int_tuple(rest.split(","), text)))
+        return FamilySpec("grid", _int_tuple(dims, text))
+    return FamilySpec(kind, _int_tuple(rest.split(","), text))
 
 
 def _int_tuple(parts, context):
@@ -106,14 +113,7 @@ def _parse_factors(rest: str, depth: list[int]):
     return (parse_family_spec(rest[1:split]), parse_family_spec(rest[split + 3 : -1]))
 
 
-def _validated(spec: FamilySpec) -> FamilySpec:
-    """``spec`` itself once its parameters and its vertex count, at most
-    ``MAX_VERTICES``, are checked; no graph is built."""
-    check_vertex_count(_vertex_count(spec))
-    return spec
-
-
-def _vertex_count(spec: FamilySpec) -> int:
+def vertex_count(spec: FamilySpec) -> int:
     """The vertex count of ``spec``, after checking its parameters."""
     kind, p = spec.kind, spec.params
     if kind not in _GENERATORS:
@@ -148,15 +148,14 @@ def _vertex_count(spec: FamilySpec) -> int:
     if kind == "product":
         if len(p) != 2 or not all(isinstance(f, FamilySpec) for f in p):
             raise InvalidSpecError("product needs two factor specs")
-        return _vertex_count(p[0]) * _vertex_count(p[1])
+        return vertex_count(p[0]) * vertex_count(p[1])
     if p:
         raise InvalidSpecError("petersen takes no parameters")
     return 10
 
 
 def generate(spec: FamilySpec) -> tuple[Graph, tuple[tuple, ...]]:
-    """Build the graph and per-vertex role tags for a validated spec."""
-    _validated(spec)
+    """Build the graph and per-vertex role tags for ``spec``."""
     return _GENERATORS[spec.kind](spec)
 
 

@@ -799,6 +799,7 @@ class TestSweep:
             ("sweep", "--random", "n=5,count=0"),
             ("sweep", "--random", "n=5,count=2,extra=1"),
             ("sweep", "--random", "n=five,count=2"),
+            ("sweep", "--random", "n=3,count=2,seed=1,seed=2"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -824,6 +825,55 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--random", "n5,count=2")
         assert code == 2 and out == ""
         assert err == "error: bad --random item 'n5'\n"
+
+    def test_random_key_given_twice(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--random", "n=3,count=2,seed=1, seed=2")
+        assert (code, out, err) == (2, "", "error: repeated --random key 'seed'\n")
+
+    def test_bad_csv_path_exits_before_any_solve(self, capsys, monkeypatch, tmp_path):
+        def no_solve(*args):
+            raise AssertionError("solved before the CSV was opened")
+
+        monkeypatch.setattr(cli, "id_index_exact", no_solve)
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "cycle", "--from", "3", "--to", "5",
+            "--csv", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "cycle", "--from", "3", "--to", "6"),
+            ("--random", "n=6,count=4,seed=2"),
+        ],
+    )
+    def test_one_graph_at_a_time(self, capsys, monkeypatch, argv):
+        events = []
+
+        def spy(name, event):
+            def call(*args, **kwargs):
+                events.append(event)
+                return real(*args, **kwargs)
+
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, call)
+
+        spy("generate", "build")
+        spy("random_connected_graph", "build")
+        spy("id_index_exact", "solve")
+        code, _, err = run_cli(capsys, "sweep", *argv)
+        assert code == 0, err
+        assert events == ["build", "solve"] * 4
+
+    def test_vertex_limit_refused_before_any_graph(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "generate", built.append)
+        code, out, err = run_cli(capsys, "sweep", "--family", "grid", "--from", "44", "--to", "46")
+        assert (code, out, built) == (2, "", [])
+        assert err == "error: graph needs 2024 vertices, limit 2000\n"
 
 
 json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text()

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+import idindex.constructions as constructions
+import idindex.families as families
 from idindex.constructions import (
     SpecMismatchError,
     construct_assignment,
@@ -137,6 +139,19 @@ class TestUniversalRoute:
             g = random_connected_graph(n, rng)
             table = string_table(apd(g), universal_assignment(n))
             assert is_distinguishing(table)
+
+    @pytest.mark.parametrize(
+        "text,n", [("path:2000", 2000), ("product:(petersen)x(path:2)", 20)]
+    )
+    def test_builds_no_graph(self, monkeypatch, text, n):
+        # the universal route needs only the vertex count of the spec
+        def no_graph(spec):
+            raise AssertionError(f"built {spec.label()}")
+
+        spec = spec_for(text)
+        monkeypatch.setattr(constructions, "generate", no_graph)
+        monkeypatch.setattr(families, "generate", no_graph)
+        assert construct_assignment(spec) == universal_assignment(n)
 
     @pytest.mark.parametrize("text", ["cycle:4", "petersen", "grid:2x3", "path:7"])
     def test_identifies_with_all_distinct_values(self, text):

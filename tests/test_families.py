@@ -85,16 +85,17 @@ class TestParseFamilySpec:
     @pytest.mark.parametrize(
         "spec",
         [
-            FamilySpec("caterpillar", ()),
-            FamilySpec("product", (1, 2)),
+            ("caterpillar", ()),
+            ("product", (1, 2)),
             # would label as plain "petersen", which parses to another spec
-            FamilySpec("petersen", (3,)),
+            ("petersen", (3,)),
         ],
     )
     def test_generate_rejects_unparsed_specs(self, spec):
-        # specs built directly, not through the grammar, are validated too
+        # specs built directly, not through the grammar, are validated too:
+        # making one raises
         with pytest.raises(InvalidSpecError):
-            generate(spec)
+            generate(FamilySpec(*spec))
 
     @pytest.mark.parametrize(
         "text",
@@ -252,7 +253,7 @@ class TestVertexLimit:
     @pytest.mark.parametrize("within,above", EDGES)
     def test_checked_on_the_parameters(self, within, above):
         assert MAX_VERTICES == 2000
-        assert families._vertex_count(parse_family_spec(within)) == MAX_VERTICES
+        assert families.vertex_count(parse_family_spec(within)) == MAX_VERTICES
         with pytest.raises(GraphError, match=r"^graph needs 20\d\d vertices, limit 2000$"):
             parse_family_spec(above)
 
@@ -272,7 +273,7 @@ class TestVertexLimit:
     )
     def test_count_matches_the_generated_graph(self, text):
         spec = parse_family_spec(text)
-        assert families._vertex_count(spec) == generate(spec)[0].n
+        assert families.vertex_count(spec) == generate(spec)[0].n
 
     def test_random_graph_draws_nothing_above_the_limit(self):
         rng = random.Random(0)
