@@ -22,10 +22,14 @@ entries are decimal strings (they can exceed any fixed-width integer),
 ``{"ranks": [<decimal string>, ...]}`` and ``verify --coloring`` reads
 ``{"red": [<id>, ...]}``; both lists take JSON integers or decimal strings.
 
-Exit codes: 0 success, 2 usage or input error (any ``ValueError`` or
-``OSError``; every input error the library raises is a ``ValueError``), 3
-search budget exhausted, 4 internal invariant violation or other internal
-error, 5 sweep found a mismatch.
+Exit codes: 0 success, also when the reader closes stdout early (output
+stops quietly); 2 usage or input error (any other ``ValueError`` or
+``OSError``; every input error the library raises is a ``ValueError``); 3
+search budget exhausted, with the bracket ``answer in [lower, upper]``
+proved so far (a closed bracket such as ``[5, 5]`` still exits 3: the value
+is known, but the search stopped before its lexicographically least
+witness); 4 internal invariant violation or other internal error; 5 sweep
+found a mismatch.
 
 Output is deterministic by default; sweep --deterministic=false fills the
 millis column with wall-clock numbers (the search stays deterministic).
@@ -40,6 +44,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import random
 import sys
 import time
@@ -345,6 +350,7 @@ def _cmd_sweep(args) -> int:
                 f"{family},{params},{g.n},{diameter},{t},{t},{cert.k},{expected},"
                 f"{match},{cert.nodes_searched},{millis}\n"
             )
+            fh.flush()  # so a reader that left stops the sweep at the next row
     if mismatch:
         print("sweep: exact value disagreed with expected value", file=sys.stderr)
         return 5
@@ -441,13 +447,22 @@ def run(argv=None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a reader that left shows here, not at exit
+        return status
     except BudgetExceededError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 3
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader left, as `| head` does: stop quietly, and send what stdout
+        # still buffers nowhere, so the flush at exit does not fail again
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ number when a known closed form pins it down, and None otherwise.
 
 from __future__ import annotations
 
-from .families import FamilySpec, generate, vertex_count
+from .families import FamilySpec, vertex_count
 
 
 class SpecMismatchError(ValueError):
@@ -68,14 +68,9 @@ def _caterpillar_ranks(spec):
     counts = spec.params
     if not _mirror_symmetric(counts):
         raise SpecMismatchError(f"leaf counts {counts} are not mirror-symmetric")
-    _, roles = generate(spec)
-    ranks = []
-    for role in roles:
-        if role[0] == "spine":
-            ranks.append(2 if role[1] == 0 else 1)
-        else:
-            ranks.append(role[2] + 1)  # leaves of one spine vertex get 1..L_i
-    return tuple(ranks)
+    # the layout of families: the spine, then each spine vertex's leaves, 1..L_i
+    spine = (2,) + (1,) * (len(counts) - 1)
+    return spine + tuple(j for li in counts for j in range(1, li + 1))
 
 
 def universal_assignment(n: int) -> tuple[int, ...]:

@@ -31,8 +31,10 @@ class InvalidSpecError(ValueError):
     """Malformed or out-of-domain family description."""
 
 
-# products nest at most this deep: a deeper product whose factors all have
-# two or more vertices has more than 2^64 vertices
+# products nest at most this deep, so that parsing, which recurses once per
+# level, stays far below the interpreter's recursion limit: with no limit,
+# 3,000 nested path:1 factors raise RecursionError.  A FamilySpec refuses a
+# product with too many vertices on its own.
 _MAX_PRODUCT_DEPTH = 64
 
 

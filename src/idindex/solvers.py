@@ -249,7 +249,8 @@ class _PairWatcher:
     vertex after its last separator changes its field.  So a zero field
     anywhere in the integer belongs to a pair complete at ``w`` or still
     open, and since no red follows, either fails: the test runs on the
-    whole integer with masks repeated over every pair, built per search.
+    whole integer, with the masks ``bias_all``, ``high_all`` and
+    ``low_all`` of every field.
     """
 
     def __init__(self, dm: DistanceMatrix, tc: TupletClasses, spheres, key):
@@ -297,29 +298,25 @@ class _PairWatcher:
         v_at = itemgetter(*(v for _, v in self.pairs), 0, 0)
 
         base = max(max(row, default=0) for row in spheres) + 1
-        self.bias = base**dm.diameter - 1
-        size = (2 * self.bias).bit_length() // 8 + 1  # bytes, guard bit included
-        self.width = 8 * size
+        bias = self.bias = base**dm.diameter - 1
+        size = (2 * bias).bit_length() // 8 + 1  # bytes, guard bit included
+        width = self.width = 8 * size
         chunk = [bytes(size)] + [
             (base**i).to_bytes(size, "little") for i in range(dm.diameter)
         ]
 
-        def repeat(field: int, m: int) -> int:
-            return int.from_bytes(field.to_bytes(size, "little") * m, "little")
+        def fields(m: int) -> tuple[int, int, int]:
+            """The bias, guard bits and low bits of ``m`` fields."""
+            low = int.from_bytes((1).to_bytes(size, "little") * m, "little")
+            return bias * low, low << width - 1, low
 
-        self.bias_all = repeat(self.bias, len(pairs))
+        self.bias_all, self.high_all, self.low_all = fields(len(pairs))
         # finalize[w]: (shift, value mask, bias, guard bits, low bits) of the
         # pairs complete once w is placed, or None
         self.finalize = [None] * n
         lo = 0
         for w, m in sorted(Counter(last for last, _, _ in pairs).items()):
-            self.finalize[w] = (
-                lo * self.width,
-                (1 << m * self.width) - 1,
-                repeat(self.bias, m),
-                repeat(1 << self.width - 1, m),
-                repeat(1, m),
-            )
+            self.finalize[w] = (lo * width, (1 << m * width) - 1, *fields(m))
             lo += m
         deltas = _Deltas(dist, chunk, u_at, v_at)
         narrow = size <= _PRECOMPUTE_MAX_FIELD_BYTES
@@ -347,18 +344,12 @@ class _PairWatcher:
         delta_of = self.delta_of
         finalize = self.finalize
         twin_prev = self.twin_prev
-        if look_ahead:
-            # the guard and low bits of every field, as in finalize
-            low_all = int.from_bytes(
-                (1).to_bytes(self.width // 8, "little") * len(self.pairs), "little"
-            )
-            high_all = low_all << self.width - 1
-            flip_all = self.bias_all | high_all
+        bias_all, high_all, low_all = self.bias_all, self.high_all, self.low_all
         nodes = start = last = 0
         for level, counted in levels:
             last, start = nodes - start, nodes
             # packed[c - 1]: every pair's field for class c
-            packed = [self.bias_all] * counted
+            packed = [bias_all] * counted
             assign = [-1] * n
             # options[w][used]: rule's tuple for vertex w, built on first use
             options = [{} for _ in range(n)]
@@ -389,19 +380,19 @@ class _PairWatcher:
                     assign[w] = c
                     if c:
                         packed[c - 1] += delta_of(w)
+                    # field ^ bias is zero exactly on a pair equal on the
+                    # class, and its guard bit is clear; subtracting the low
+                    # bits sets a guard bit exactly when some field is zero
+                    # (the lowest zero field's, whatever borrows above it)
                     if look_ahead and c and used == level:
-                        # field ^ bias is zero exactly on a pair equal on the
-                        # class; the guard bit is clear in field and bias
-                        if ((packed[0] ^ flip_all) - low_all) & high_all != high_all:
+                        if ((packed[0] ^ bias_all) - low_all) & high_all:
                             continue
                     elif finalize[w] is not None:
                         shift, mask, bias, high, low = finalize[w]
-                        x = 0
+                        x = 0  # zero in a field only where every class is
                         for y in packed:
                             x |= ((y >> shift) & mask) ^ bias
-                        # a zero field of x, a pair equal on every class, keeps
-                        # its guard bit from being set after the subtract
-                        if ((x | high) - low) & high != high:
+                        if (x - low) & high:
                             continue
                     if w == n - 1:
                         return level, assign, nodes, last

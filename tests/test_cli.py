@@ -14,20 +14,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idindex.cli as cli
+import idindex.families as families
 import idindex.solvers as solvers
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_module(*argv):
-    """``python -m idindex.cli`` in a child process that finds ``src``
-    whether or not the package is installed."""
+def module_command(*argv):
+    """``python -m idindex.cli`` and an environment in which a child process
+    finds ``src`` whether or not the package is installed."""
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run(
-        [sys.executable, "-m", "idindex.cli", *argv], capture_output=True, text=True, env=env
-    )
+    return [sys.executable, "-m", "idindex.cli", *argv], env
+
+
+def run_module(*argv):
+    command, env = module_command(*argv)
+    return subprocess.run(command, capture_output=True, text=True, env=env)
 
 
 def run_cli(capsys, *argv):
@@ -311,6 +315,23 @@ class TestVerify:
         assert obj["distinguishing"] is True
         assert obj["collision"] is None
         assert obj["ranks"] == ["1", "1", "2"]
+
+    def test_construction_builds_one_graph(self, capsys, monkeypatch):
+        # every build of a caterpillar goes through its generator, however
+        # generate was imported
+        built = []
+        build = families._GENERATORS["caterpillar"]
+
+        def counting_build(spec):
+            built.append(spec)
+            return build(spec)
+
+        monkeypatch.setitem(families._GENERATORS, "caterpillar", counting_build)
+        obj = run_json(
+            capsys, "verify", "--family", "caterpillar:2,4,2,2,4,2", "--construct"
+        )
+        assert obj["distinguishing"] is True
+        assert len(built) == 1
 
     def test_construct_needs_family(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
@@ -874,6 +895,64 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--family", "grid", "--from", "44", "--to", "46")
         assert (code, out, built) == (2, "", [])
         assert err == "error: graph needs 2024 vertices, limit 2000\n"
+
+
+class _ReaderLeavesAfterOneWrite(io.StringIO):
+    """A stdout whose reader leaves after the first write: every later write
+    raises, as a pipe's does once ``head`` has exited."""
+
+    def write(self, text):
+        if self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+class TestClosedPipe:
+    """A reader that leaves early ends the command quietly, with exit 0."""
+
+    def test_sweep_stops_at_the_next_row(self, capsys, monkeypatch):
+        solved = []
+        solve = cli.id_index_exact
+
+        def counting_solve(*args):
+            solved.append(args[0].n)
+            return solve(*args)
+
+        monkeypatch.setattr(cli, "id_index_exact", counting_solve)
+        stdout = _ReaderLeavesAfterOneWrite()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.run(["sweep", "--family", "cycle", "--from", "3", "--to", "40"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert stdout.getvalue().startswith("family,params,")
+        # the head went out; the first row's write failed, and nothing after
+        # it was solved
+        assert solved == [3]
+
+    def test_report(self, capsys, monkeypatch):
+        stdout = _ReaderLeavesAfterOneWrite()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.run(["compute", "--family", "grid:12x12"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert stdout.getvalue() == '{\n  "k": '
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # each writes megabytes, far more than a pipe holds, so the
+            # child is still writing when the reader closes its end
+            ("sweep", "--random", "n=6,count=100000"),
+            ("compute", "--family", "path:600"),
+        ],
+    )
+    def test_real_pipe(self, argv):
+        command, env = module_command(*argv)
+        with subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (0, b"")
 
 
 json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text()

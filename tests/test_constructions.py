@@ -91,6 +91,19 @@ class TestCaterpillarRoute:
             assert is_distinguishing(table_for(spec, f))
             assert len(set(f)) == expected_id_index(spec)
 
+    def test_ranks_follow_the_generated_layout(self):
+        # spine vertex 0 gets 2, the other spine vertices 1, and leaf j of a
+        # spine vertex j + 1, read from the roles generate returns
+        for counts in [(1,), (1, 1), (3, 3), (2, 0, 2), (1, 2, 2, 1), (2, 4, 2, 2, 4, 2),
+                       (5, 0, 0, 1, 0, 0, 5)]:
+            spec = FamilySpec("caterpillar", counts)
+            _, roles = generate(spec)
+            expected = tuple(
+                (2 if role[1] == 0 else 1) if role[0] == "spine" else role[2] + 1
+                for role in roles
+            )
+            assert construct_assignment(spec) == expected
+
     def test_rejects_asymmetric_counts(self):
         with pytest.raises(SpecMismatchError):
             construct_assignment(spec_for("caterpillar:1,2"))
@@ -141,17 +154,29 @@ class TestUniversalRoute:
             assert is_distinguishing(table)
 
     @pytest.mark.parametrize(
-        "text,n", [("path:2000", 2000), ("product:(petersen)x(path:2)", 20)]
+        "text,n",
+        [
+            ("path:2000", 2000),
+            ("product:(petersen)x(path:2)", 20),
+            ("multipartite:1,2,3", 6),
+            ("multipartite:3,3", 6),
+            ("caterpillar:2,4,2,2,4,2", 22),
+        ],
     )
     def test_builds_no_graph(self, monkeypatch, text, n):
-        # the universal route needs only the vertex count of the spec
+        # every route reads the spec alone: the universal route its vertex
+        # count, the others their parameters in the layout of families
         def no_graph(spec):
             raise AssertionError(f"built {spec.label()}")
 
         spec = spec_for(text)
-        monkeypatch.setattr(constructions, "generate", no_graph)
+        # constructions imports no generate of its own to patch
+        assert not hasattr(constructions, "generate")
         monkeypatch.setattr(families, "generate", no_graph)
-        assert construct_assignment(spec) == universal_assignment(n)
+        ranks = construct_assignment(spec)
+        assert len(ranks) == n
+        if spec.kind not in ("multipartite", "caterpillar"):
+            assert ranks == universal_assignment(n)
 
     @pytest.mark.parametrize("text", ["cycle:4", "petersen", "grid:2x3", "path:7"])
     def test_identifies_with_all_distinct_values(self, text):

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from math import comb
 from pathlib import Path
 
@@ -583,6 +585,36 @@ class TestPackedFields:
                 # the memo keeps what it packed; the wide path keeps nothing
                 assert all(memo[w] == memo.pack(w) for w in memo)
                 assert set(memo) == (placed if narrow else set())
+
+
+class TestWatcherLifetime:
+    """A watcher and its deltas form no reference cycle, so both searches
+    free their watcher on return without the cyclic garbage collector."""
+
+    def test_freed_by_reference_counting(self, monkeypatch):
+        made = []
+        init = solvers._PairWatcher.__init__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(solvers._PairWatcher, "__init__", recording_init)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for text in ["petersen", "prism:8", "cycle:120", "path:600"]:
+                g, _ = generate(parse_family_spec(text))
+                for search in (id_index_exact, id_number_exact):
+                    try:
+                        search(g)
+                    except BudgetExceededError:  # the watcher was refused
+                        pass
+                    assert [ref() for ref in made] == [None] * len(made), (text, search)
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(made) == 6
 
 
 class TestWatchLimit:
