@@ -16,15 +16,21 @@ starts at the counting bound that ``analyze`` reports.
 
 This module alone knows the JSON formats: reports are the bytes of
 ``json.dump(report, fh, indent=2)`` plus a newline, written one key at a
-time and a string or code table one row at a time; rank values and string
-entries are decimal strings (they can exceed any fixed-width integer),
+time and a string or code table one row at a time.  Lists of integers
+skip the JSON encoder, other values outside a list or dict skip its
+pure-Python path, and each integer's text is made once per report, in a
+memo that holds at most about ``n`` texts plus one row's worth (see
+:func:`_emit`).  Rank values and string
+entries are decimal strings (they can exceed any fixed-width integer);
 ``verify --ranks`` reads
 ``{"ranks": [<decimal string>, ...]}`` and ``verify --coloring`` reads
 ``{"red": [<id>, ...]}``; both lists take JSON integers or decimal strings.
 
 Exit codes: 0 success, also when the reader closes stdout early (output
 stops quietly); 2 usage or input error (any other ``ValueError`` or
-``OSError``; every input error the library raises is a ``ValueError``); 3
+``OSError``; every input error the library raises is a ``ValueError``),
+also ``error: stdout is closed`` when the command started with stdout
+closed and has no ``--json`` or ``--csv`` file to write to; 3
 search budget exhausted, with the bracket ``answer in [lower, upper]``
 proved so far (a closed bracket such as ``[5, 5]`` still exits 3: the value
 is known, but the search stopped before its lexicographically least
@@ -122,12 +128,27 @@ def _read_ints(path: str, key: str, usage: str) -> tuple[int, ...]:
         raise _UsageError(usage) from None
 
 
-def _decimal_row(row, pad: str) -> str:
-    """One row of integers as a JSON list of decimal strings whose items sit
-    at ``pad``.  Decimal strings need no escaping."""
+class _Texts(dict):
+    """``texts[x]``: ``str(x)``, made on first use and kept until cleared."""
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        text = self[value] = str(value)
+        return text
+
+
+def _row(row, pad: str, text, quote: str) -> str:
+    """One row of integers as a JSON list whose items sit at ``pad``: decimal
+    strings with ``quote='"'`` (they need no escaping), numbers with
+    ``quote=''``.  ``text`` turns an integer into its decimal text."""
     if not row:
         return "[]"
-    return f'[\n{pad}"' + f'",\n{pad}"'.join(map(str, row)) + f'"\n{pad[:-2]}]'
+    return (
+        f"[\n{pad}{quote}"
+        + f"{quote},\n{pad}{quote}".join(map(text, row))
+        + f"{quote}\n{pad[:-2]}]"
+    )
 
 
 def _emit(obj: dict, path: str | None) -> None:
@@ -136,25 +157,42 @@ def _emit(obj: dict, path: str | None) -> None:
     :class:`_Decimal` written as decimal strings.
 
     The report goes out one key at a time and a table one row at a time,
-    each row one join: no string list of the whole table is built, and the
-    encoder's pure-Python path (it takes that path whenever ``indent`` is
-    set) handles only the small values.
+    each row one join: no string list of the whole table is built.  A list
+    of ``int`` is written directly, and any other value that is not a list,
+    tuple or dict goes through ``json.dumps`` without ``indent``, which
+    writes the same bytes for it through the C encoder; only containers of
+    other shapes (nested lists, dicts, lists that mix bools with ints) take
+    the encoder's pure-Python path, as it does whenever ``indent`` is set.
+    Each integer's text is made once and kept in a memo, as a report's
+    entries repeat: ``path:600``'s 359,400 string entries take 5 values.
+    The memo is bounded: before each table row, if it holds more texts than
+    the table has rows, it is cleared and refilled.  So it holds at most
+    about ``n`` texts plus one row's worth.
     """
+    texts = _Texts()
+    text = texts.__getitem__
     with open(path, "w") if path else nullcontext(sys.stdout) as fh:
         sep = "{\n  "
         for key, value in obj.items():
             fh.write(f"{sep}{json.dumps(key)}: ")
             sep = ",\n  "
-            if not isinstance(value, _Decimal):
-                fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
-            elif not value or type(value[0]) is int:
-                fh.write(_decimal_row(value, "    "))
-            else:
+            if isinstance(value, _Decimal):
+                if not value or type(value[0]) is int:
+                    fh.write(_row(value, "    ", text, '"'))
+                    continue
                 row_sep = "[\n    "
                 for row in value:
-                    fh.write(row_sep + _decimal_row(row, "      "))
+                    if len(texts) > len(value):
+                        texts.clear()
+                    fh.write(row_sep + _row(row, "      ", text, '"'))
                     row_sep = ",\n    "
                 fh.write("\n  ]")
+            elif type(value) is list and all(type(x) is int for x in value):
+                fh.write(_row(value, "    ", text, ""))
+            elif not isinstance(value, (list, tuple, dict)):
+                fh.write(json.dumps(value))  # indent only shapes containers
+            else:
+                fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
         fh.write("\n}\n" if obj else "{}\n")
 
 
@@ -447,6 +485,10 @@ def run(argv=None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        # Python sets stdout to None when the process starts with it closed;
+        # refuse before any work, unless the output goes to a file
+        if sys.stdout is None and not (vars(args).get("json") or vars(args).get("csv")):
+            raise _UsageError("stdout is closed")
         status = args.func(args)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()  # a reader that left shows here, not at exit

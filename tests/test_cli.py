@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -955,6 +956,52 @@ class TestClosedPipe:
         assert (proc.returncode, err) == (0, b"")
 
 
+class TestClosedStdout:
+    """A command started with stdout closed exits 2 before it writes, unless
+    its output goes to a ``--json`` or ``--csv`` file."""
+
+    def test_report_refuses_before_any_work(self, capsys, monkeypatch):
+        solved, measured = [], []
+        monkeypatch.setattr(cli, "id_index_exact", solved.append)
+        monkeypatch.setattr(cli, "all_pairs_distances", measured.append)
+        monkeypatch.setattr(sys, "stdout", None)
+        for argv in (
+            ["compute", "--family", "grid:12x12"],
+            ["verify", "--family", "path:3", "--construct"],
+            ["analyze", "--family", "path:3"],
+            ["construct", "--family", "path:3"],
+        ):
+            code = cli.run(argv)
+            assert (code, capsys.readouterr().err) == (2, "error: stdout is closed\n"), argv
+        assert (solved, measured) == ([], [])
+
+    def test_sweep_refuses_before_any_solve(self, capsys, monkeypatch):
+        solved = []
+        monkeypatch.setattr(cli, "id_index_exact", solved.append)
+        monkeypatch.setattr(sys, "stdout", None)
+        code = cli.run(["sweep", "--family", "cycle", "--from", "3", "--to", "4"])
+        assert (code, capsys.readouterr().err, solved) == (2, "error: stdout is closed\n", [])
+
+    def test_files_still_written(self, capsys, monkeypatch, tmp_path):
+        expected = record_reports(monkeypatch)
+        monkeypatch.setattr(sys, "stdout", None)
+        report, table = tmp_path / "report.json", tmp_path / "table.csv"
+        assert cli.run(["compute", "--family", "path:3", "--json", str(report)]) == 0
+        sweep = ["sweep", "--family", "cycle", "--from", "3", "--to", "12"]
+        assert cli.run([*sweep, "--csv", str(table)]) == 0
+        assert capsys.readouterr().err == ""
+        assert [report.read_text()] == expected
+        assert table.read_text() == (GOLDEN / "sweep_cycle_3_12.csv").read_text()
+
+    def test_real_closed_descriptor(self):
+        # the child starts with fd 1 closed, so Python sets sys.stdout to None
+        command, env = module_command("compute", "--family", "path:3")
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", *command], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stderr) == (2, "error: stdout is closed\n")
+
+
 json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 json_values = st.recursive(
     json_leaves,
@@ -1026,11 +1073,53 @@ class TestReportWriter:
             cli._emit(report, None)
         assert buffer.getvalue() == dumped(report)
 
-    def test_large_diameter_rows(self, capsys):
-        # path:600 streams 600 rows of 599 entries each
-        code, out, err = run_cli(capsys, "compute", "--family", "path:600")
+    @pytest.mark.parametrize(
+        "value",
+        [[True, 1], [1, [2]], [], 2**200, -5, 1.0, True, None, [-3, 0, 2**70], "é\n"],
+    )
+    def test_values_near_the_direct_paths(self, value):
+        # lists of ints skip the encoder and other non-containers its
+        # pure-Python path; the lists that mix bools in, nest or hold floats
+        # take that path
+        report = {"a": value, "b": cli._Decimal([value] if type(value) is int else [])}
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            cli._emit(report, None)
+        assert buffer.getvalue() == dumped(report)
+
+    def test_table_that_clears_the_memo(self, capsys, monkeypatch):
+        # path:300's construction has distinct ranks, so its string table
+        # overflows the memo's bound after its first row
+        cleared = []
+        clear = cli._Texts.clear
+        monkeypatch.setattr(cli._Texts, "clear", lambda texts: cleared.append(clear(texts)))
+        expected = record_reports(monkeypatch)
+        code, out, err = run_cli(capsys, "verify", "--family", "path:300", "--construct")
         assert code == 0, err
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert [out] == expected
+        assert cleared
+
+    def test_memo_stays_bounded(self, capsys, monkeypatch):
+        reports = []
+        monkeypatch.setattr(cli, "_emit", lambda obj, path: reports.append(obj))
+        assert cli.run(["verify", "--family", "path:400", "--construct"]) == 0
+        monkeypatch.undo()
+        # 400 ranks of about 121 digits, and 159,600 string entries that are
+        # nearly all distinct: a memo of every text would hold megabytes
+        tracemalloc.start()
+        try:
+            cli._emit(reports[0], os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_large_diameter_rows(self, capsys):
+        # path:600 streams 600 rows of 599 entries each, in both searches
+        for flags in ((), ("--heuristic",)):
+            code, out, err = run_cli(capsys, "compute", "--family", "path:600", *flags)
+            assert code == 0, err
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestTopLevel:
