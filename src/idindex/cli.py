@@ -236,45 +236,32 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     g, spec = _load_graph(args)
-    # the inputs are checked before the distances, a BFS from every vertex
+    # the input is read before the distances, a BFS from every vertex
     if args.coloring:
         usage = "coloring file must look like {'red': [ids]}"
-        red = frozenset(_read_ints(args.coloring, "red", usage))
-        dm = all_pairs_distances(g)
-        codes = code_table(dm, red)
-        pair = first_collision(codes)
-        _emit(
-            {
-                "diameter": dm.diameter,
-                "codes": _Decimal(codes),
-                "id_coloring": pair is None,
-                "collision": list(pair) if pair else None,
-            },
-            args.json,
-        )
-        return 0
-    if args.construct:
-        if spec is None:
-            raise _UsageError("--construct needs --family")
-        ranks = construct_assignment(spec)
-    elif args.ranks:
-        usage = "expected {'ranks': [<decimal string>, ...]}"
-        ranks = _read_ints(args.ranks, "ranks", usage)
+        checked = frozenset(_read_ints(args.coloring, "red", usage))
+        report = {}
+        table_of, table_key, verdict_key = code_table, "codes", "id_coloring"
     else:
-        raise _UsageError("need one of --ranks, --coloring, --construct")
+        if args.construct:
+            if spec is None:
+                raise _UsageError("--construct needs --family")
+            checked = construct_assignment(spec)
+        elif args.ranks:
+            usage = "expected {'ranks': [<decimal string>, ...]}"
+            checked = _read_ints(args.ranks, "ranks", usage)
+        else:
+            raise _UsageError("need one of --ranks, --coloring, --construct")
+        report = {"ranks": _Decimal(checked)}
+        table_of, table_key, verdict_key = string_table, "strings", "distinguishing"
     dm = all_pairs_distances(g)
-    table = string_table(dm, ranks)
+    table = table_of(dm, checked)
     pair = first_collision(table)
-    _emit(
-        {
-            "ranks": _Decimal(ranks),
-            "diameter": dm.diameter,
-            "strings": _Decimal(table),
-            "distinguishing": pair is None,
-            "collision": list(pair) if pair else None,
-        },
-        args.json,
-    )
+    report["diameter"] = dm.diameter
+    report[table_key] = _Decimal(table)
+    report[verdict_key] = pair is None
+    report["collision"] = list(pair) if pair else None
+    _emit(report, args.json)
     return 0
 
 
@@ -487,8 +474,11 @@ def run(argv=None) -> int:
     try:
         # Python sets stdout to None when the process starts with it closed;
         # refuse before any work, unless the output goes to a file
-        if sys.stdout is None and not (vars(args).get("json") or vars(args).get("csv")):
+        json_path = vars(args).get("json")
+        if sys.stdout is None and not (json_path or vars(args).get("csv")):
             raise _UsageError("stdout is closed")
+        if json_path:  # an unusable path fails before any work; "a" truncates nothing
+            open(json_path, "a").close()
         status = args.func(args)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()  # a reader that left shows here, not at exit

@@ -11,6 +11,13 @@ rank constructions and tests all agree on which vertex is which:
   builder serves ``product``, grids (``path(m) x path(n)``) and prisms
   (``cycle(n) x path(2)``), which keep their own role tags.
 
+Each kind is one ``_Kind`` record in ``_KINDS``: its parameter separator
+(None for Petersen), parameter count (exact, or at least), least parameter
+value, vertex count ``vertices(params)`` and builder ``build(*params)``.
+The parser splits by the separator and raises only grammar errors; the
+record checks the rest, save a caterpillar's end leaves and a product's
+factors.
+
 A ``FamilySpec`` is checked when it is made: its parameters, and its
 vertex count against ``MAX_VERTICES``, before any graph is built.
 Alongside the graph, ``generate`` returns ``roles``, a tuple indexed by
@@ -23,6 +30,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate, combinations, pairwise
+from math import prod
+from typing import Callable, NamedTuple
 
 from .graphs import Graph, build_graph, check_vertex_count, is_connected
 
@@ -36,6 +45,23 @@ class InvalidSpecError(ValueError):
 # 3,000 nested path:1 factors raise RecursionError.  A FamilySpec refuses a
 # product with too many vertices on its own.
 _MAX_PRODUCT_DEPTH = 64
+
+
+class _Kind(NamedTuple):
+    """How one family kind is written, checked, counted and built."""
+
+    vertices: Callable
+    build: Callable
+    sep: str | None = ","
+    count: int = 1
+    at_least: bool = False
+    least: int = 1
+
+    def __str__(self) -> str:
+        """The rule, as in ``1 parameter >= 3``."""
+        amount = f"at least {self.count}" if self.at_least else str(self.count)
+        each = f" >= {self.least}" if self.count else ""
+        return f"{amount} parameter{'s' * (self.count != 1)}{each}"
 
 
 @dataclass(frozen=True)
@@ -55,14 +81,11 @@ class FamilySpec:
         check_vertex_count(vertex_count(self))
 
     def label(self) -> str:
-        if self.kind == "petersen":
-            return "petersen"
-        if self.kind == "grid":
-            return "grid:{}x{}".format(*self.params)
-        if self.kind == "product":
-            a, b = self.params
-            return f"product:({a.label()})x({b.label()})"
-        return self.kind + ":" + ",".join(str(p) for p in self.params)
+        if not self.params:
+            return self.kind
+        factor = self.kind == "product"
+        parts = (f"({p.label()})" if factor else str(p) for p in self.params)
+        return f"{self.kind}:{_KINDS[self.kind].sep.join(parts)}"
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -70,18 +93,18 @@ def parse_family_spec(text: str) -> FamilySpec:
 
     Examples: ``path:7``, ``grid:3x4``, ``multipartite:1,2,3``,
     ``caterpillar:2,4,2,2,4,2``, ``petersen``,
-    ``product:(cycle:5)x(path:2)``.
+    ``product:(cycle:5)x(path:2)``.  Only grammar errors are raised here;
+    the ``FamilySpec`` made from the text checks its kind's rules.
     """
     text = text.strip()
     if not text:
         raise InvalidSpecError("empty family spec")
-    kind, sep, rest = text.partition(":")
+    kind, colon, rest = text.partition(":")
     kind = kind.strip()
-    if kind == "petersen":
-        if sep:
-            raise InvalidSpecError("petersen takes no parameters")
-        return FamilySpec("petersen")
-    if not sep or not rest:
+    if kind not in _KINDS:
+        return FamilySpec(kind)  # refused as an unknown kind
+    sep = _KINDS[kind].sep
+    if not rest and (colon or sep):
         raise InvalidSpecError(f"missing parameters in {text!r}")
     if kind == "product":
         # depth[i]: the parentheses open after rest[i]; each factor sits in its
@@ -90,19 +113,11 @@ def parse_family_spec(text: str) -> FamilySpec:
         if max(depth) > _MAX_PRODUCT_DEPTH:
             raise InvalidSpecError(f"products nest at most {_MAX_PRODUCT_DEPTH} deep")
         return FamilySpec("product", _parse_factors(rest, depth))
-    if kind == "grid":
-        dims = rest.split("x")
-        if len(dims) != 2:
-            raise InvalidSpecError(f"grid wants MxN, got {rest!r}")
-        return FamilySpec("grid", _int_tuple(dims, text))
-    return FamilySpec(kind, _int_tuple(rest.split(","), text))
-
-
-def _int_tuple(parts, context):
-    try:
-        return tuple(int(p) for p in parts)
+    try:  # petersen's sep None splits at whitespace; its record refuses any part
+        params = tuple(int(p) for p in rest.split(sep))
     except ValueError:
-        raise InvalidSpecError(f"non-integer parameter in {context!r}") from None
+        raise InvalidSpecError(f"non-integer parameter in {text!r}") from None
+    return FamilySpec(kind, params)
 
 
 def _parse_factors(rest: str, depth: list[int]):
@@ -116,49 +131,29 @@ def _parse_factors(rest: str, depth: list[int]):
 
 
 def vertex_count(spec: FamilySpec) -> int:
-    """The vertex count of ``spec``, after checking its parameters."""
+    """The vertex count of ``spec``, after checking its parameters against
+    the record of its kind."""
     kind, p = spec.kind, spec.params
-    if kind not in _GENERATORS:
+    if kind not in _KINDS:
         raise InvalidSpecError(f"unknown family kind {kind!r}")
-    if kind in ("path", "cycle", "complete", "prism"):
-        if len(p) != 1:
-            raise InvalidSpecError(f"{kind} takes exactly one parameter")
-        n = p[0]
-        if kind in ("path", "complete") and n < 1:
-            raise InvalidSpecError(f"{kind} needs n >= 1")
-        if kind in ("cycle", "prism") and n < 3:
-            raise InvalidSpecError(f"{kind} needs n >= 3")
-        return 2 * n if kind == "prism" else n
-    if kind == "multipartite":
-        if len(p) < 2:
-            raise InvalidSpecError("multipartite needs at least two parts")
-        if any(m < 1 for m in p):
-            raise InvalidSpecError("multipartite part sizes must be >= 1")
-        return sum(p)
-    if kind == "grid":
-        if len(p) != 2 or p[0] < 1 or p[1] < 1:
-            raise InvalidSpecError("grid needs two sides >= 1")
-        return p[0] * p[1]
-    if kind == "caterpillar":
-        if len(p) < 1:
-            raise InvalidSpecError("caterpillar needs at least one spine vertex")
-        if any(c < 0 for c in p):
-            raise InvalidSpecError("leaf counts must be >= 0")
-        if p[0] < 1 or p[-1] < 1:
-            raise InvalidSpecError("first and last spine vertices need a leaf")
-        return len(p) + sum(p)
+    record = _KINDS[kind]
     if kind == "product":
-        if len(p) != 2 or not all(isinstance(f, FamilySpec) for f in p):
+        if not (type(p) is tuple and tuple(map(type, p)) == (FamilySpec, FamilySpec)):
             raise InvalidSpecError("product needs two factor specs")
-        return vertex_count(p[0]) * vertex_count(p[1])
-    if p:
-        raise InvalidSpecError("petersen takes no parameters")
-    return 10
+    elif not (
+        type(p) is tuple
+        and (len(p) >= record.count if record.at_least else len(p) == record.count)
+        and all(type(x) is int and x >= record.least for x in p)
+    ):
+        raise InvalidSpecError(f"{kind} needs {record}")
+    elif kind == "caterpillar" and not (p[0] and p[-1]):
+        raise InvalidSpecError("caterpillar needs a leaf at each end of its spine")
+    return record.vertices(p)
 
 
 def generate(spec: FamilySpec) -> tuple[Graph, tuple[tuple, ...]]:
     """Build the graph and per-vertex role tags for ``spec``."""
-    return _GENERATORS[spec.kind](spec)
+    return _KINDS[spec.kind].build(*spec.params)
 
 
 def random_connected_graph(n: int, rng: random.Random) -> Graph:
@@ -182,26 +177,22 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
     return g
 
 
-def _path(spec):
-    (n,) = spec.params
+def _path(n):
     g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
     return g, tuple(("path", i) for i in range(n))
 
 
-def _cycle(spec):
-    (n,) = spec.params
+def _cycle(n):
     g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
     return g, tuple(("cycle", i) for i in range(n))
 
 
-def _complete(spec):
-    (n,) = spec.params
+def _complete(n):
     g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     return g, tuple(("complete", i) for i in range(n))
 
 
-def _multipartite(spec):
-    sizes = spec.params
+def _multipartite(*sizes):
     parts = [range(a, b) for a, b in pairwise(accumulate(sizes, initial=0))]
     edges = [(u, v) for pu, pv in combinations(parts, 2) for u in pu for v in pv]
     roles = tuple(("part", p, j) for p, m in enumerate(sizes) for j in range(m))
@@ -225,24 +216,22 @@ def _product_of(sa: FamilySpec, sb: FamilySpec):
     return build_graph(na * gb.n, edges), roles_a, roles_b
 
 
-def _product(spec):
-    g, roles_a, roles_b = _product_of(*spec.params)
+def _product(sa, sb):
+    g, roles_a, roles_b = _product_of(sa, sb)
     return g, tuple(("product", a, b) for b in roles_b for a in roles_a)
 
 
-def _grid(spec):
-    m, n = spec.params
+def _grid(m, n):
     g, _, _ = _product_of(FamilySpec("path", (m,)), FamilySpec("path", (n,)))
     return g, tuple(("grid", v % m, v // m) for v in range(m * n))
 
 
-def _prism(spec):
-    (n,) = spec.params
+def _prism(n):
     g, _, _ = _product_of(FamilySpec("cycle", (n,)), FamilySpec("path", (2,)))
     return g, tuple(("prism", v % n, v // n) for v in range(2 * n))
 
 
-def _petersen(spec):
+def _petersen():
     edges = []
     for i in range(5):
         edges.append((i, (i + 1) % 5))        # outer 5-cycle
@@ -254,28 +243,24 @@ def _petersen(spec):
     return build_graph(10, edges), roles
 
 
-def _caterpillar(spec):
-    counts = spec.params
-    n_spine = len(counts)
-    edges = [(i, i + 1) for i in range(n_spine - 1)]
-    roles = [("spine", i) for i in range(n_spine)]
-    nxt = n_spine
-    for i, li in enumerate(counts):
-        for j in range(li):
-            edges.append((i, nxt))
-            roles.append(("leaf", i, j))
-            nxt += 1
-    return build_graph(nxt, edges), tuple(roles)
+def _caterpillar(*counts):
+    spine = len(counts)
+    leaves = [("leaf", i, j) for i, li in enumerate(counts) for j in range(li)]
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + v) for v, (_, i, _) in enumerate(leaves)]
+    roles = tuple(("spine", i) for i in range(spine)) + tuple(leaves)
+    return build_graph(spine + len(leaves), edges), roles
 
 
-_GENERATORS = {
-    "path": _path,
-    "cycle": _cycle,
-    "complete": _complete,
-    "multipartite": _multipartite,
-    "grid": _grid,
-    "prism": _prism,
-    "petersen": _petersen,
-    "caterpillar": _caterpillar,
-    "product": _product,
+# one-parameter kinds count their vertices with sum, as multipartite does
+_KINDS = {
+    "path": _Kind(sum, _path),
+    "cycle": _Kind(sum, _cycle, least=3),
+    "complete": _Kind(sum, _complete),
+    "multipartite": _Kind(sum, _multipartite, count=2, at_least=True),
+    "grid": _Kind(prod, _grid, sep="x", count=2),
+    "prism": _Kind(lambda p: 2 * p[0], _prism, least=3),
+    "petersen": _Kind(lambda p: 10, _petersen, sep=None, count=0),
+    "caterpillar": _Kind(lambda p: len(p) + sum(p), _caterpillar, at_least=True, least=0),
+    "product": _Kind(lambda p: prod(map(vertex_count, p)), _product, sep="x", count=2),
 }

@@ -318,21 +318,43 @@ class TestVerify:
         assert obj["ranks"] == ["1", "1", "2"]
 
     def test_construction_builds_one_graph(self, capsys, monkeypatch):
-        # every build of a caterpillar goes through its generator, however
-        # generate was imported
+        # every build of a caterpillar goes through its record's builder,
+        # however generate was imported
         built = []
-        build = families._GENERATORS["caterpillar"]
+        kind = families._KINDS["caterpillar"]
 
-        def counting_build(spec):
-            built.append(spec)
-            return build(spec)
+        def counting_build(*counts):
+            built.append(counts)
+            return kind.build(*counts)
 
-        monkeypatch.setitem(families._GENERATORS, "caterpillar", counting_build)
+        monkeypatch.setitem(families._KINDS, "caterpillar", kind._replace(build=counting_build))
         obj = run_json(
             capsys, "verify", "--family", "caterpillar:2,4,2,2,4,2", "--construct"
         )
         assert obj["distinguishing"] is True
         assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "name,argv,payload",
+        [
+            # the red set that compute --id-number writes, read back
+            (
+                "verify_coloring_prism8",
+                ("--family", "prism:8", "--coloring", str(GOLDEN / "id_number_prism8.json")),
+                None,
+            ),
+            ("verify_coloring_path3", ("--family", "path:3", "--coloring"), '{"red": [1]}'),
+            ("verify_construct_multipartite22", ("--family", "multipartite:2,2", "--construct"), None),
+            ("verify_ranks_cycle6", ("--family", "cycle:6", "--ranks"), '{"ranks": [1, 1, 1, 1, 1, 2]}'),
+        ],
+    )
+    def test_matches_golden(self, capsys, tmp_path, name, argv, payload):
+        if payload is not None:
+            path = tmp_path / "input.json"
+            path.write_text(payload)
+            argv = (*argv, str(path))
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (0, (GOLDEN / f"{name}.json").read_text(), "")
 
     def test_construct_needs_family(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
@@ -1012,6 +1034,46 @@ decimal_rows = st.lists(st.integers(), max_size=6).map(cli._Decimal)
 decimal_tables = st.lists(st.lists(st.integers(), max_size=6).map(tuple), max_size=6).map(
     cli._Decimal
 )
+
+
+class TestJsonTarget:
+    """``run`` opens the ``--json`` file, in append mode, before the command
+    runs, so an unusable path exits 2 before any BFS or search."""
+
+    @pytest.mark.parametrize("missing", [True, False])
+    def test_unusable_path_refused_before_any_work(self, capsys, monkeypatch, tmp_path, missing):
+        calls = []
+        for module in (cli, solvers):
+            for name in ("all_pairs_distances", "id_index_exact", "id_number_exact"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        # a file in a directory that does not exist, or a directory
+        target = tmp_path / "missing" / "x.json" if missing else tmp_path
+        reason = "[Errno 2] No such file or directory" if missing else "[Errno 21] Is a directory"
+        for argv in (
+            ["compute", "--family", "grid:12x12"],
+            ["compute", "--family", "grid:12x12", "--heuristic"],
+            ["compute", "--family", "grid:12x12", "--id-number"],
+            ["verify", "--family", "path:3", "--construct"],
+            ["analyze", "--family", "path:3"],
+            ["construct", "--family", "path:3"],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--json", str(target))
+            assert (code, out, err) == (2, "", f"error: {reason}: {str(target)!r}\n"), argv
+        assert calls == []
+
+    def test_ranks_file_read_before_it_is_written(self, capsys, tmp_path):
+        path = tmp_path / "ranks.json"
+        path.write_text('{"ranks": [1, 1, 1, 1, 1, 2]}')
+        argv = ["verify", "--family", "cycle:6", "--ranks", str(path)]
+        assert run_cli(capsys, *argv, "--json", str(path)) == (0, "", "")
+        assert path.read_text() == (GOLDEN / "verify_ranks_cycle6.json").read_text()
+
+    def test_failed_command_leaves_an_empty_file(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "compute", "--family", "torus:3", "--json", str(path))
+        assert (code, out, err) == (2, "", "error: unknown family kind 'torus'\n")
+        assert path.read_text() == ""
 
 
 class TestReportWriter:

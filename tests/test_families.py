@@ -81,6 +81,28 @@ class TestParseFamilySpec:
         kind, _, rest = text.partition(":")
         if kind == "product":  # every malformed product here has the wrong shape
             assert str(excinfo.value) == f"product wants (A)x(B), got {rest!r}"
+        else:
+            assert kind in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "text,spec,message",
+        [
+            ("path:0", ("path", (0,)), "path needs 1 parameter >= 1"),
+            ("cycle:2", ("cycle", (2,)), "cycle needs 1 parameter >= 3"),
+            ("multipartite:3", ("multipartite", (3,)), "multipartite needs at least 2 parameters >= 1"),
+            ("caterpillar:-1", ("caterpillar", (-1,)), "caterpillar needs at least 1 parameter >= 0"),
+            ("caterpillar:1,0", ("caterpillar", (1, 0)), "caterpillar needs a leaf at each end of its spine"),
+            ("grid:3x4x5", ("grid", (3, 4, 5)), "grid needs 2 parameters >= 1"),
+            ("petersen:5", ("petersen", (5,)), "petersen needs 0 parameters"),
+        ],
+    )
+    def test_record_refuses_what_the_parser_splits(self, text, spec, message):
+        # the parser only splits; the spec made from its split breaks the
+        # rule of its kind's record, the same as when it is made directly
+        for make in (lambda: parse_family_spec(text), lambda: FamilySpec(*spec)):
+            with pytest.raises(InvalidSpecError) as excinfo:
+                make()
+            assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
         "spec",
@@ -89,6 +111,14 @@ class TestParseFamilySpec:
             ("product", (1, 2)),
             # would label as plain "petersen", which parses to another spec
             ("petersen", (3,)),
+            # parameters are a tuple of exact ints, bools excluded
+            ("path", ("3",)),
+            ("cycle", (None,)),
+            ("multipartite", ([1], 2)),
+            ("path", (2.5,)),
+            ("grid", (True, 2)),
+            ("path", [3]),
+            ("product", None),
         ],
     )
     def test_generate_rejects_unparsed_specs(self, spec):
@@ -107,6 +137,9 @@ class TestParseFamilySpec:
             "caterpillar:2,0,2",
             "product:(cycle:5)x(path:2)",
             "product:(product:(product:(path:2)x(cycle:3))x(path:2))x(petersen)",
+            "cycle:6",
+            "complete:4",
+            "prism:5",
         ],
     )
     def test_label_round_trip(self, text):
