@@ -269,14 +269,13 @@ def _cmd_analyze(args) -> int:
     g, _ = _load_graph(args)
     dm = all_pairs_distances(g)
     tc = tuplet_classes(g)
-    spheres = string_table(dm, (1,) * g.n)
-    profile = distance_profile(spheres)
+    profile = distance_profile(dm.spheres)
     _emit(
         {
             "n": g.n,
             "diameter": dm.diameter,
             "T": tc.max_size,
-            "idi_lower_bound": counting_lower_bound(spheres, tc.max_size),
+            "idi_lower_bound": counting_lower_bound(dm.spheres, tc.max_size),
             "tuplet_classes": [
                 {"members": list(c.members), "kind": c.kind} for c in tc.classes
             ],
@@ -340,7 +339,7 @@ def _sweep_rows(args):
     sizes = range(args.from_, args.to + 1)
     params = itertools.product(sizes, sizes) if args.family == "grid" else zip(sizes)
     specs = [FamilySpec(args.family, p) for p in params]
-    return "", ((s.kind, "x".join(map(str, s.params)), generate(s)[0], s) for s in specs)
+    return "", ((s.kind, s.label().partition(":")[2], generate(s)[0], s) for s in specs)
 
 
 def _cmd_sweep(args) -> int:

@@ -113,11 +113,18 @@ def parse_family_spec(text: str) -> FamilySpec:
         if max(depth) > _MAX_PRODUCT_DEPTH:
             raise InvalidSpecError(f"products nest at most {_MAX_PRODUCT_DEPTH} deep")
         return FamilySpec("product", _parse_factors(rest, depth))
-    try:  # petersen's sep None splits at whitespace; its record refuses any part
-        params = tuple(int(p) for p in rest.split(sep))
-    except ValueError:
-        raise InvalidSpecError(f"non-integer parameter in {text!r}") from None
-    return FamilySpec(kind, params)
+    # petersen's sep None splits at whitespace; its record refuses any part
+    parts = rest.split(sep)
+    if not all(map(_is_integer, parts)):
+        raise InvalidSpecError(f"non-integer parameter in {text!r}")
+    return FamilySpec(kind, tuple(map(int, parts)))
+
+
+def _is_integer(part: str) -> bool:
+    """Whether ``part`` is ``-?[0-9]+``; ``int()`` also takes "+3", "1_0",
+    " 4" and non-ASCII digits, which the grammar refuses."""
+    digits = part.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
 
 
 def _parse_factors(rest: str, depth: list[int]):

@@ -9,7 +9,8 @@ All-pairs distances come from one of two kernels, chosen from the input:
 breadth-first search from every vertex, or, on graphs of at most 255
 vertices whose diameter is small against their size, ball growth, which
 keeps each vertex's ball as one integer with a byte per vertex and grows
-every ball by one level with a few big-int ORs.  Both give the same rows.
+every ball by one level with a few big-int ORs.  Both give the same rows
+and the sphere sizes, the one place where spheres are counted.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ class DisconnectedError(GraphError):
 
 
 # the most vertices a graph may have.  Distance rows and string tables hold
-# n^2 entries: with CPython 3.11 on a 2-vCPU host, `analyze --family path:N`
-# peaks at 79 MB for N = 2,000 and 265 MB for N = 4,000, and `verify --construct`
-# on a path (ranks of up to N + 1 bits) at 612 MB and 4.1 GB
+# n^2 entries: with CPython 3.11 on a 2-vCPU host, `compute --family path:N`
+# peaks at 86 MB for N = 2,000, and `verify --construct` on a path (ranks of
+# up to N + 1 bits) at 616 MB; at N = 4,000 the latter took 4.1 GB
 MAX_VERTICES = 2_000
 
 
@@ -95,11 +96,15 @@ class DistanceMatrix:
     """All-pairs shortest-path distances of a connected graph.
 
     ``dist[u][v]`` is the hop distance; ``diameter`` is the largest entry
-    (0 for the one-vertex graph).
+    (0 for the one-vertex graph).  ``spheres[v][i - 1]`` counts the
+    vertices at distance ``i`` from ``v``, ``i`` in ``1..diameter``: ``v``'s
+    string under all-one ranks.  Rows are ``bytes`` (4 MB on ``path:2000``,
+    where tuples take 32 MB) unless some sphere has 256 vertices or more.
     """
 
     dist: tuple[tuple[int, ...], ...]
     diameter: int
+    spheres: tuple[bytes | tuple[int, ...], ...]
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -191,8 +196,8 @@ def _bfs_row(g: Graph, source: int, steps):
 
 
 def _ball_rows(g: Graph):
-    """All distance rows of a connected graph on at most 255 vertices, and
-    its diameter.
+    """All distance rows of a connected graph on at most 255 vertices, its
+    diameter and its sphere rows, as ``DistanceMatrix`` takes them.
 
     Ball ``i`` of ``v``, the vertices within distance ``i``, is one integer
     whose byte ``w`` is 1 for each such ``w``; ball ``i + 1`` is the OR of
@@ -201,6 +206,11 @@ def _ball_rows(g: Graph):
     equal to the number of levels that miss ``w``, which is ``d(v, w)`` and
     below 255; it is taken as ``L * full`` minus the sum of the balls.  The
     rows hold the interpreter's cached small ints, one object per distance.
+
+    A ball's popcount, at most 255, is how many vertices it holds.  One
+    integer holds a level's ball sizes, a byte per vertex; balls only grow,
+    so subtracting the last level's integer borrows nowhere and leaves
+    sphere ``i`` of ``v`` in byte ``v``.
     """
     n = g.n
     full = int.from_bytes(b"\x01" * n, "little")
@@ -208,13 +218,38 @@ def _ball_rows(g: Graph):
     # a tuple for every v when n >= 2; the one-vertex ball is already full
     closed = [itemgetter(v, *g.adj[v]) for v in range(n)]
     acc = [0] * n
-    levels = 0
+    held = full  # byte v: how many vertices v's ball holds
+    levels = []  # levels[i - 1][v]: sphere i of v
     while balls.count(full) < n:
         acc = list(map(add, acc, balls))
-        levels += 1
         balls = [reduce(or_, get(balls)) for get in closed]
-    top = levels * full
-    return tuple(tuple((top - a).to_bytes(n, "little")) for a in acc), levels
+        grown = int.from_bytes(bytes(map(int.bit_count, balls)), "little")
+        levels.append((grown - held).to_bytes(n, "little"))
+        held = grown
+    top = len(levels) * full
+    rows = tuple(tuple((top - a).to_bytes(n, "little")) for a in acc)
+    flat = b"".join(levels)
+    return rows, len(levels), tuple([flat[v::n] for v in range(n)])
+
+
+def _bfs_spheres(rows, diameter: int):
+    """Sphere rows from distance rows, one counting pass each, made
+    ``bytes`` as they are counted (so one list is alive at a time) until a
+    sphere of 256 or more vertices makes every row a tuple."""
+    spheres = []
+    wide = False
+    for row in rows:
+        sizes = [0] * (diameter + 1)
+        for i in row:
+            sizes[i] += 1
+        del sizes[0]  # v itself
+        if not wide:
+            try:
+                sizes = bytes(sizes)
+            except ValueError:  # a sphere of 256 or more vertices
+                wide = True
+        spheres.append(sizes)
+    return tuple(map(tuple, spheres)) if wide else tuple(spheres)
 
 
 def is_connected(g: Graph) -> bool:
@@ -229,7 +264,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     only its BFS row is checked.  The other rows come from ball growth when
     ``n <= 255`` and the diameter looks small against ``n + 2m`` (see
     below), else from BFS; either way the rows share one int object per
-    distance.
+    distance, and the sphere rows come with them.
     """
     n = g.n
     steps = list(range(n + 1))
@@ -261,4 +296,5 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         if 20 * max(rows[far]) < size:
             return DistanceMatrix(*_ball_rows(g))
     rows = tuple(tuple(row or _bfs_row(g, v, steps)) for v, row in enumerate(rows))
-    return DistanceMatrix(rows, max(map(max, rows)))
+    diameter = max(map(max, rows))
+    return DistanceMatrix(rows, diameter, _bfs_spheres(rows, diameter))

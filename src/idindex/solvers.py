@@ -219,16 +219,15 @@ class _PairWatcher:
     """Shared per-graph structures for the level searches.
 
     The watched pairs are the unordered non-twin pairs (u, v) with ``key[u]
-    == key[v]``; with ``key = spheres`` other pairs always separate, and a
+    == key[v]``; with ``key = dm.spheres`` other pairs always separate, and a
     complete pair's fields sum to zero over all classes, so a search may
     leave class 0 uncounted.  Per counted class ``c`` the search keeps one
     integer with one ``width``-bit field per pair, SWAR style: pair ``p``'s
     field holds ``bias`` plus the number whose digit ``i-1`` in base ``S+1``
     is N_i(u, c) - N_i(v, c), where ``S`` is the largest sphere, the largest
-    entry of ``spheres`` (the string table under all-one ranks).  Each digit
-    lies in ``[-S, S]``, and a number with such digits is 0 only if every
-    digit is, so a field equals ``bias`` exactly when the pair has the same
-    counts on ``c``.  With ``d`` digits (the diameter) the number lies in
+    entry of ``dm.spheres``.  Each digit lies in ``[-S, S]``, and a number
+    with such digits is 0 only if every digit is, so a field equals ``bias``
+    exactly when the pair has the same counts on ``c``.  With ``d`` digits (the diameter) the number lies in
     ``[-bias, bias]`` for ``bias = (S+1)^d - 1``, so a field stays in ``[0,
     2 bias]`` and no add or subtract reaches its neighbour; a guard bit on
     top, rounded up to whole bytes, keeps the zero test exact.
@@ -253,7 +252,7 @@ class _PairWatcher:
     ``low_all`` of every field.
     """
 
-    def __init__(self, dm: DistanceMatrix, tc: TupletClasses, spheres, key):
+    def __init__(self, dm: DistanceMatrix, tc: TupletClasses, key):
         n = len(dm.dist)
         dist = dm.dist
         self.n = n
@@ -297,7 +296,7 @@ class _PairWatcher:
         u_at = itemgetter(*(u for u, _ in self.pairs), 0, 0)
         v_at = itemgetter(*(v for _, v in self.pairs), 0, 0)
 
-        base = max(max(row, default=0) for row in spheres) + 1
+        base = max(max(row, default=0) for row in dm.spheres) + 1
         bias = self.bias = base**dm.diameter - 1
         size = (2 * bias).bit_length() // 8 + 1  # bytes, guard bit included
         width = self.width = 8 * size
@@ -438,11 +437,9 @@ def id_index_exact(g: Graph, max_nodes: int = DEFAULT_MAX_NODES) -> IdIndexCerti
         return _certificate(dm, Partition((0,), 1), 1, witness, 0, "by convention")
     tc = tuplet_classes(g)
     lower = tc.max_size
-    # pairs whose sphere sizes (strings under all-one ranks) differ always separate
-    spheres = string_table(dm, (1,) * g.n)
-    start = counting_lower_bound(spheres, lower)
-    watcher = _PairWatcher(dm, tc, spheres, spheres)
-    del spheres  # only the bound and the watcher build read it
+    # pairs whose sphere sizes differ always separate
+    start = counting_lower_bound(dm.spheres, lower)
+    watcher = _PairWatcher(dm, tc, dm.spheres)
     # class 0 is implied by the other k - 1 on pairs of equal spheres
     levels = ((k, k - 1) for k in range(start, g.n + 1))
     k, assign, nodes, last = watcher.search(_partition_labels, levels, max_nodes)
@@ -488,11 +485,10 @@ def id_number_exact(
     """
     dm = all_pairs_distances(g)
     tc = tuplet_classes(g)
-    spheres = string_table(dm, (1,) * g.n)
-    if counting_lower_bound(spheres, tc.max_size) >= 3:
+    if counting_lower_bound(dm.spheres, tc.max_size) >= 3:
         return None
     # red-only codes can collide even where sphere sizes differ: watch all pairs
-    watcher = _PairWatcher(dm, tc, spheres, [0] * g.n)
+    watcher = _PairWatcher(dm, tc, [0] * g.n)
     levels = ((r, 1) for r in range(1, g.n + 1))
     r, labels, nodes, _ = watcher.search(_red_set_labels, levels, max_nodes, look_ahead=True)
     if nodes > max_nodes:
@@ -537,6 +533,7 @@ def _greedy_upper_bound(
         pair = first_collision(strings)
         if pair is None:  # this pass verified the certificate's own strings
             return IdIndexCertificate(p.k, p, ranks, strings, tc.max_size, None, 0)
+        del strings  # so that two tables are never held at once
         labels = list(p.assignment)
         candidates = [x for x in pair if labels.count(labels[x]) >= 2]
         if not candidates:

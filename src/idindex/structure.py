@@ -13,9 +13,9 @@ A graph is *distance regular in counts* here when every vertex sees the
 same number of vertices at each distance; ``distance_profile`` returns
 those counts, or None when vertices differ, and ``analyze`` reports it.
 
-Both sphere-size functions take the caller's ``spheres``, the string table
-under all-one ranks (``string_table(dm, (1,) * n)``), so a caller that
-needs both counts the spheres once.
+Both sphere-size functions take the caller's ``spheres``, the sphere rows
+``DistanceMatrix.spheres`` that the distance kernel counts: the strings
+under all-one ranks, so a caller that needs both counts nothing again.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def tuplet_classes(g: Graph) -> TupletClasses:
 def counting_lower_bound(spheres, twin_bound: int) -> int:
     """Least ``k >= twin_bound`` leaving every vertex room for its own string.
 
-    ``spheres`` is the string table under all-one ranks: ``spheres[v]``
+    ``spheres`` holds the sphere rows, ``bytes`` or tuples: ``spheres[v]``
     lists how many vertices sit at each distance from ``v``, nonzero exactly
     up to ``v``'s eccentricity ``e``.  Vertices with different rows always
     separate.  Under a k-class partition, row ``i`` of ``v``'s count matrix
@@ -106,10 +106,10 @@ def counting_lower_bound(spheres, twin_bound: int) -> int:
 def distance_profile(spheres) -> tuple[int, ...] | None:
     """Per-distance vertex counts shared by all vertices, or None.
 
-    ``spheres`` is the string table under all-one ranks; entry ``i-1`` of
-    the result is the number of vertices every vertex sees at distance
+    ``spheres`` holds the sphere rows, ``bytes`` or tuples; entry ``i-1``
+    of the result is the number of vertices every vertex sees at distance
     ``i``.  None means the counts differ between vertices.
     """
     rows = set(spheres)
-    return rows.pop() if len(rows) == 1 else None
+    return tuple(rows.pop()) if len(rows) == 1 else None
 

@@ -70,6 +70,28 @@ def floyd_warshall(g: Graph):
     return dist
 
 
+def counted_spheres(dist):
+    """Sphere rows by a direct count over a distance matrix such as
+    ``floyd_warshall``'s: row ``v`` lists how many vertices sit at each
+    distance ``1..diameter`` from ``v``."""
+    diameter = max(map(max, dist))
+    return [[row.count(i) for i in range(1, diameter + 1)] for row in dist]
+
+
+def summed_strings(dist, ranks):
+    """Strings by the definition over a distance matrix such as
+    ``floyd_warshall``'s: one plain sum of ranks per vertex and distance."""
+    n = len(dist)
+    diameter = max(map(max, dist))
+    return [
+        tuple(
+            sum(ranks[w] for w in range(n) if dist[v][w] == i)
+            for i in range(1, diameter + 1)
+        )
+        for v in range(n)
+    ]
+
+
 def reference_parse_edge_list(text: str) -> Graph:
     """``graphs.parse_edge_list`` as it was before it split each line
     once: the reference its fuzz test compares against."""

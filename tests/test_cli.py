@@ -488,6 +488,26 @@ class TestAnalyze:
         obj = run_json(capsys, "analyze", "--family", "path:4")
         assert obj["distance_profile"] is None
 
+    # both golden files hold the output of the all-one string table's
+    # sphere counts, from before the distance kernel counted them
+    @pytest.mark.parametrize(
+        "name,source",
+        [
+            ("prism8", ("--family", "prism:8")),  # has a distance profile
+            ("random12_seed3", ("--input", str(GOLDEN / "random12_seed3.txt"))),
+        ],
+    )
+    def test_matches_golden(self, capsys, name, source):
+        code, out, err = run_cli(capsys, "analyze", *source)
+        assert (code, out, err) == (0, (GOLDEN / f"analyze_{name}.json").read_text(), "")
+
+    @pytest.mark.parametrize(
+        "spec", ["path:1_0", "path:+3", "path:\u0663", "grid:3x+4", "path: 4", "multipartite:1, 2"]
+    )
+    def test_parameter_outside_the_grammar_exits_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "analyze", "--family", spec)
+        assert (code, out, err) == (2, "", f"error: non-integer parameter in {spec!r}\n")
+
     @pytest.mark.parametrize("depth,code", [(64, 0), (65, 2), (495, 2)])
     def test_product_nesting_limit(self, capsys, depth, code):
         spec = "path:1"

@@ -84,6 +84,17 @@ class TestParseFamilySpec:
         else:
             assert kind in str(excinfo.value)
 
+    # int() takes each of these; the grammar's parameters are -?[0-9]+ in ASCII
+    @pytest.mark.parametrize(
+        "text",
+        ["path:1_0", "path:+3", "path:\u0663", "path:\uff13", "path:\u00b2", "path:-",
+         "path:--3", "grid:3x+4", "path: 4", "multipartite:1, 2", "caterpillar:1,-0_1"],
+    )
+    def test_rejects_integers_outside_the_grammar(self, text):
+        with pytest.raises(InvalidSpecError) as excinfo:
+            parse_family_spec(text)
+        assert str(excinfo.value) == f"non-integer parameter in {text!r}"
+
     @pytest.mark.parametrize(
         "text,spec,message",
         [

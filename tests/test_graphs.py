@@ -28,6 +28,7 @@ from idindex.families import FamilySpec, generate, parse_family_spec, random_con
 from corpus import (
     all_connected_graphs,
     connected_corpus_up_to,
+    counted_spheres,
     floyd_warshall,
     reference_parse_edge_list,
 )
@@ -256,7 +257,7 @@ def _bfs_rows(g):
 
 
 def _ball_rows(g):
-    rows, diameter = graphs._ball_rows(g)
+    rows, diameter, _ = graphs._ball_rows(g)
     assert diameter == max(map(max, rows))
     return [list(row) for row in rows]
 
@@ -316,8 +317,53 @@ class TestDistanceKernels:
 
     def test_ball_rows_share_one_int_per_distance(self):
         g, _ = generate(parse_family_spec("path:255"))
-        rows, _ = graphs._ball_rows(g)
+        rows, _, _ = graphs._ball_rows(g)
         assert len({id(d) for row in rows for d in row}) == 255
+
+
+class TestSphereRows:
+    """Both kernels' sphere rows against a direct count over Floyd-Warshall
+    distances or closed forms."""
+
+    @staticmethod
+    def kernel_spheres(g):
+        """The sphere rows of ball growth and of BFS, as lists."""
+        rows = _bfs_rows(g)
+        by_bfs = graphs._bfs_spheres(rows, max(map(max, rows)))
+        by_balls = graphs._ball_rows(g)[2]
+        assert {type(row) for row in by_balls + by_bfs} == {bytes}
+        return [list(row) for row in by_balls], [list(row) for row in by_bfs]
+
+    def test_every_connected_graph_up_to_5(self):
+        for g in connected_corpus_up_to(5):
+            want = counted_spheres(floyd_warshall(g))
+            assert self.kernel_spheres(g) == (want, want)
+            assert [list(row) for row in all_pairs_distances(g).spheres] == want
+
+    @pytest.mark.parametrize("n", [20, 50, 80])
+    @pytest.mark.parametrize("p", [0.05, 0.25, 0.8])
+    def test_random_gnp(self, n, p):
+        g = _connected_gnp(n, p, random.Random(n * 1000 + int(p * 100)))
+        want = counted_spheres(floyd_warshall(g))
+        assert self.kernel_spheres(g) == (want, want)
+
+    def test_255_vertex_star(self):
+        # the centre's sphere of 254 vertices is the most a byte holds
+        g = build_graph(255, [(0, v) for v in range(1, 255)])
+        want = [[254, 0]] + [[1, 253]] * 254
+        assert self.kernel_spheres(g) == (want, want)
+
+    def test_bfs_sphere_of_256_or_more_keeps_tuples(self):
+        g = build_graph(300, [(0, v) for v in range(1, 300)])
+        spheres = all_pairs_distances(g).spheres
+        assert spheres == ((299, 0),) + ((1, 298),) * 299
+
+    def test_bfs_beyond_255_vertices_keeps_bytes(self):
+        g, _ = generate(parse_family_spec("path:300"))
+        dm = all_pairs_distances(g)
+        want = [[int(0 <= v - i) + int(v + i < 300) for i in range(1, 300)] for v in range(300)]
+        assert {type(row) for row in dm.spheres} == {bytes}
+        assert [list(row) for row in dm.spheres] == want
 
 
 def _kernel(monkeypatch, g):

@@ -328,9 +328,8 @@ class TestImpliedLastClass:
         for g in graphs:
             dm = all_pairs_distances(g)
             tc = tuplet_classes(g)
-            spheres = string_table(dm, (1,) * g.n)
-            watcher = solvers._PairWatcher(dm, tc, spheres, spheres)
-            start = counting_lower_bound(spheres, tc.max_size)
+            watcher = solvers._PairWatcher(dm, tc, dm.spheres)
+            start = counting_lower_bound(dm.spheres, tc.max_size)
             for k in range(start, id_index_exact(g).k + 1):
                 _, full, full_nodes, _ = watcher.search(self.every_class_counted, [(k, k)], 2_000)
                 _, implied, nodes, _ = watcher.search(
@@ -418,8 +417,7 @@ class TestOneBudgetAcrossLevels:
         rule, budget = solvers._partition_labels, solvers.DEFAULT_MAX_NODES
         for g, cert in self.exhaustive_witnesses():
             dm = all_pairs_distances(g)
-            spheres = string_table(dm, (1,) * g.n)
-            watcher = solvers._PairWatcher(dm, tuplet_classes(g), spheres, spheres)
+            watcher = solvers._PairWatcher(dm, tuplet_classes(g), dm.spheres)
             levels = [(j, j - 1) for j in range(1, cert.k + 1)]
             # each level alone, in a fresh search; no level below k has a labelling
             alone = [watcher.search(rule, [level], budget) for level in levels]
@@ -447,8 +445,7 @@ class TestRedSetLookAhead:
         pruned = 0
         for g in list(connected_corpus_up_to(5)) + random_corpus(200):
             dm = all_pairs_distances(g)
-            spheres = string_table(dm, (1,) * g.n)
-            watcher = solvers._PairWatcher(dm, tuplet_classes(g), spheres, [0] * g.n)
+            watcher = solvers._PairWatcher(dm, tuplet_classes(g), [0] * g.n)
             levels = [(r, 1) for r in range(1, g.n + 1)]
             level, labels, nodes, _ = watcher.search(rule, levels, budget)
             got_level, got, got_nodes, _ = watcher.search(rule, levels, budget, look_ahead=True)
@@ -517,8 +514,7 @@ class TestFirstUsePacking:
                 return ((1, used), (0, used)) if w in offered else ((0, used),)
 
             dm = all_pairs_distances(g)
-            spheres = string_table(dm, (1,) * g.n)
-            watcher = solvers._PairWatcher(dm, tuplet_classes(g), spheres, [0] * g.n)
+            watcher = solvers._PairWatcher(dm, tuplet_classes(g), [0] * g.n)
             packs.clear()
             watcher.search(rule, [(0, 1)], 2_000)
             assert set(packs) <= offered
@@ -545,10 +541,9 @@ class TestPackedFields:
                 )
                 base = largest_sphere + 1
                 dm = all_pairs_distances(g)
-                spheres = string_table(dm, (1,) * n)
                 # a constant key watches every non-twin pair
                 tc = tuplet_classes(g)
-                watcher = solvers._PairWatcher(dm, tc, spheres, [0] * n)
+                watcher = solvers._PairWatcher(dm, tc, [0] * n)
                 twin = {v: ci for ci, c in enumerate(tc.classes) for v in c.members}
                 assert sorted(watcher.pairs) == [
                     (u, v) for u in range(n) for v in range(u + 1, n) if twin[u] != twin[v]
@@ -628,18 +623,17 @@ class TestWatchLimit:
         for g in graphs + random_corpus(200):
             dm = all_pairs_distances(g)
             tc = tuplet_classes(g)
-            spheres = string_table(dm, (1,) * g.n)
-            key = spheres if key_name == "spheres" else [0] * g.n
+            key = dm.spheres if key_name == "spheres" else [0] * g.n
             monkeypatch.setattr(solvers, "_MAX_WATCH_ENTRIES", limit)
-            entries = len(solvers._PairWatcher(dm, tc, spheres, key).pairs) * g.n
+            entries = len(solvers._PairWatcher(dm, tc, key).pairs) * g.n
             monkeypatch.setattr(solvers, "_MAX_WATCH_ENTRIES", entries - 1)
             with pytest.raises(BudgetExceededError) as excinfo:
-                solvers._PairWatcher(dm, tc, spheres, key)
+                solvers._PairWatcher(dm, tc, key)
             assert str(excinfo.value) == (
                 f"pair tables need {entries} entries, limit {entries - 1}"
             )
             monkeypatch.setattr(solvers, "_MAX_WATCH_ENTRIES", entries)
-            solvers._PairWatcher(dm, tc, spheres, key)
+            solvers._PairWatcher(dm, tc, key)
 
 
 class TestIdIndexOracle:

@@ -17,7 +17,15 @@ from idindex.strings_codes import (
     string_table,
 )
 
-from corpus import random_connected_graph
+from idindex.constructions import universal_assignment
+
+from corpus import (
+    connected_corpus_up_to,
+    floyd_warshall,
+    random_connected_graph,
+    random_corpus,
+    summed_strings,
+)
 
 
 def dm_for(text):
@@ -116,6 +124,53 @@ class TestStringTableOracle:
             dm = all_pairs_distances(g)
             ranks = tuple(rng.randrange(-(10**300), 10**300) for _ in range(n))
             assert string_table(dm, ranks) == per_pair_sums(dm, ranks)
+
+
+def rank_vectors(n, rng):
+    """Rank vectors that exercise every way a table can start from the most
+    common rank: 1, 0, another value, or one of several tied values."""
+    odd = rng.randrange(n)
+    # certificate ranks: class c gets (n + 1)^c, with class 0 the largest
+    labels = [0 if rng.random() < 0.7 else rng.randrange(1, 3) for _ in range(n)]
+    # a tie: two values alternate, and an odd n gives the last vertex a third
+    tied = [-7 if v % 2 else 2**70 for v in range(n - n % 2)] + [3] * (n % 2)
+    return {
+        "equal": (5,) * n,
+        "ones": (1,) * n,
+        "one_odd": tuple(9 if v == odd else 1 for v in range(n)),
+        "certificate": tuple((n + 1) ** c for c in labels),
+        "distinct": universal_assignment(n),
+        "zeros": (0,) * n,
+        "negative": tuple(rng.randrange(-9, 0) for _ in range(n)),
+        "above_2_64": tuple(2**64 + rng.randrange(3) for _ in range(n)),
+        "tie": tuple(tied),
+    }
+
+
+class TestStringTableAgainstSums:
+    """``string_table`` against plain per-entry sums over Floyd-Warshall
+    distances, which share no code with the library."""
+
+    @staticmethod
+    def check(g, rng):
+        dist = floyd_warshall(g)
+        dm = all_pairs_distances(g)
+        for name, ranks in rank_vectors(g.n, rng).items():
+            assert string_table(dm, ranks) == summed_strings(dist, ranks), (g, name)
+        red = frozenset(v for v in range(g.n) if rng.random() < 0.3) or {0}
+        for reds in (red, frozenset(range(g.n)) - red or red):
+            indicator = tuple(int(v in reds) for v in range(g.n))
+            assert code_table(dm, reds) == summed_strings(dist, indicator), (g, reds)
+
+    def test_every_connected_graph_up_to_5(self):
+        rng = random.Random(24)
+        for g in connected_corpus_up_to(5):
+            self.check(g, rng)
+
+    def test_random_corpus(self):
+        rng = random.Random(25)
+        for g in random_corpus(120):
+            self.check(g, rng)
 
 
 class TestCodeTable:
