@@ -10,7 +10,7 @@ breadth-first search from every vertex, or, on graphs of at most 255
 vertices whose diameter is small against their size, ball growth, which
 keeps each vertex's ball as one integer with a byte per vertex and grows
 every ball by one level with a few big-int ORs.  Both give the same rows
-and the sphere sizes, the one place where spheres are counted.
+and count the spheres.
 """
 
 from __future__ import annotations
@@ -97,9 +97,8 @@ class DistanceMatrix:
 
     ``dist[u][v]`` is the hop distance; ``diameter`` is the largest entry
     (0 for the one-vertex graph).  ``spheres[v][i - 1]`` counts the
-    vertices at distance ``i`` from ``v``, ``i`` in ``1..diameter``: ``v``'s
-    string under all-one ranks.  Rows are ``bytes`` (4 MB on ``path:2000``,
-    where tuples take 32 MB) unless some sphere has 256 vertices or more.
+    vertices at distance ``i`` from ``v``; rows are ``bytes`` unless some
+    sphere has 256 vertices or more.
     """
 
     dist: tuple[tuple[int, ...], ...]
@@ -206,11 +205,8 @@ def _ball_rows(g: Graph):
     equal to the number of levels that miss ``w``, which is ``d(v, w)`` and
     below 255; it is taken as ``L * full`` minus the sum of the balls.  The
     rows hold the interpreter's cached small ints, one object per distance.
-
-    A ball's popcount, at most 255, is how many vertices it holds.  One
-    integer holds a level's ball sizes, a byte per vertex; balls only grow,
-    so subtracting the last level's integer borrows nowhere and leaves
-    sphere ``i`` of ``v`` in byte ``v``.
+    A level's ball sizes are one integer, a byte per vertex; less the last
+    level's, byte ``v`` is sphere ``i`` of ``v``.
     """
     n = g.n
     full = int.from_bytes(b"\x01" * n, "little")
@@ -233,9 +229,8 @@ def _ball_rows(g: Graph):
 
 
 def _bfs_spheres(rows, diameter: int):
-    """Sphere rows from distance rows, one counting pass each, made
-    ``bytes`` as they are counted (so one list is alive at a time) until a
-    sphere of 256 or more vertices makes every row a tuple."""
+    """Sphere rows from distance rows, ``bytes`` until a sphere of 256 or
+    more vertices makes every row a tuple."""
     spheres = []
     wide = False
     for row in rows:

@@ -226,11 +226,12 @@ class _PairWatcher:
     field holds ``bias`` plus the number whose digit ``i-1`` in base ``S+1``
     is N_i(u, c) - N_i(v, c), where ``S`` is the largest sphere, the largest
     entry of ``dm.spheres``.  Each digit lies in ``[-S, S]``, and a number
-    with such digits is 0 only if every digit is, so a field equals ``bias``
-    exactly when the pair has the same counts on ``c``.  With ``d`` digits (the diameter) the number lies in
-    ``[-bias, bias]`` for ``bias = (S+1)^d - 1``, so a field stays in ``[0,
-    2 bias]`` and no add or subtract reaches its neighbour; a guard bit on
-    top, rounded up to whole bytes, keeps the zero test exact.
+    with such digits is 0 only if every digit is, so a field equals
+    ``bias`` exactly when the pair has the same counts on ``c``.  With
+    ``d`` digits (the diameter) the number lies in ``[-bias, bias]`` for
+    ``bias = (S+1)^d - 1``, so a field stays in ``[0, 2 bias]`` and no add
+    or subtract reaches its neighbour; a guard bit on top, rounded up to
+    whole bytes, keeps the zero test exact.
 
     ``_Deltas.pack(w)`` is the change of every field when ``w`` joins a
     class, ``(S+1)^(d(u,w)-1) - (S+1)^(d(v,w)-1)`` per pair with

@@ -8,11 +8,9 @@ frozenset of vertex ids, instead yields a *code*: the d-vector counting red
 vertices at each distance.  Codes are exactly the strings of the 0/1
 indicator assignment of the red set.
 
-Strings are linear in the ranks, so a table starts each row at ``r0``
-times the vertex's sphere sizes, ``r0`` the most common rank, and adds
-``r - r0`` only for vertices of another rank ``r``: the solvers leave
-nearly every vertex at one rank.  When no rank holds over a third of the
-vertices, every (vertex, vertex) pair is summed instead, faster there.
+Strings are linear in the ranks: a table starts each row at the most
+common rank ``r0`` times the sphere sizes and adds ``r - r0`` for each
+vertex of another rank ``r``.
 
 An assignment (red set) identifies the graph's vertices when all strings
 (codes) are pairwise distinct.  All arithmetic is exact; ranks may be
@@ -51,27 +49,12 @@ def string_table(dm, ranks: tuple[int, ...]) -> list[tuple[int, ...]]:
     """
     n = len(dm.dist)
     _check_length(ranks, n)
-    d = dm.diameter
     counts = Counter(ranks)
-    # any most common rank gives the same sums; a tie takes the first seen
-    r0 = max(counts, key=counts.__getitem__)
-    table = []
-    if 3 * counts[r0] <= n:
-        # slot i collects distance i; slot 0, the vertex itself, is dropped
-        for dv in dm.dist:
-            row = [0] * (d + 1)
-            for i, r in zip(dv, ranks):
-                row[i] += r
-            table.append(tuple(row[1:]))
-        return table
+    r0 = max(counts, key=counts.__getitem__)  # any most common rank will do
     others = [(w, r - r0) for w, r in enumerate(ranks) if r != r0]
+    table = []
     for dv, sizes in zip(dm.dist, dm.spheres):
-        if r0 == 1:
-            row = list(sizes)
-        elif r0:
-            row = [r0 * s for s in sizes]
-        else:
-            row = [0] * d
+        row = list(sizes) if r0 == 1 else [r0 * s for s in sizes]
         for w, extra in others:
             i = dv[w]
             if i:  # the vertex itself is not in its string

@@ -13,9 +13,8 @@ A graph is *distance regular in counts* here when every vertex sees the
 same number of vertices at each distance; ``distance_profile`` returns
 those counts, or None when vertices differ, and ``analyze`` reports it.
 
-Both sphere-size functions take the caller's ``spheres``, the sphere rows
-``DistanceMatrix.spheres`` that the distance kernel counts: the strings
-under all-one ranks, so a caller that needs both counts nothing again.
+Both sphere-size functions take ``DistanceMatrix.spheres``, the sphere
+rows the distance kernel counts.
 """
 
 from __future__ import annotations
