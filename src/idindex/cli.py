@@ -236,7 +236,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     g, spec = _load_graph(args)
-    # the input is read before the distances, a BFS from every vertex
+    # the input is read before the all-pairs distances, the costly part
     if args.coloring:
         usage = "coloring file must look like {'red': [ids]}"
         checked = frozenset(_read_ints(args.coloring, "red", usage))

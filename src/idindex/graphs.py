@@ -5,12 +5,13 @@ Graphs are immutable; vertices are dense integers ``0..n-1``.  Connectivity is
 not checked at construction time but at ``all_pairs_distances``, the single
 gate every analysis and solver passes through.
 
-All-pairs distances come from one of two kernels, chosen from the input:
-breadth-first search from every vertex, or, on graphs of at most 255
-vertices whose diameter is small against their size, ball growth, which
-keeps each vertex's ball as one integer with a byte per vertex and grows
-every ball by one level with a few big-int ORs.  Both give the same rows
-and count the spheres.
+All-pairs distances come from one of two kernels, chosen from the input.
+Ball growth, on graphs of at most 255 vertices whose diameter is small
+against their size, keeps each vertex's ball as one integer with a byte per
+vertex and grows every ball by one level with a few big-int ORs.  The shift
+kernel takes every other graph: each row starts as a neighbour's row plus
+one, and a BFS lowers only the vertices that get closer.  Both give the
+same rows and count the spheres.
 """
 
 from __future__ import annotations
@@ -61,7 +62,10 @@ class DisconnectedError(GraphError):
 # the most vertices a graph may have.  Distance rows and string tables hold
 # n^2 entries: with CPython 3.11 on a 2-vCPU host, `compute --family path:N`
 # peaks at 86 MB for N = 2,000, and `verify --construct` on a path (ranks of
-# up to N + 1 bits) at 616 MB; at N = 4,000 the latter took 4.1 GB
+# up to N + 1 bits) at 616 MB; at N = 4,000 the latter took 4.1 GB.  Dense
+# graphs no longer cost n^3 BFS steps: `analyze --family complete:2000`
+# takes 2.1 s (160 s with a full BFS from every vertex) but peaks at
+# 495 MB, all of it from building the graph's 2M edges
 MAX_VERTICES = 2_000
 
 
@@ -228,23 +232,101 @@ def _ball_rows(g: Graph):
     return rows, len(levels), tuple([flat[v::n] for v in range(n)])
 
 
-def _bfs_spheres(rows, diameter: int):
-    """Sphere rows from distance rows, ``bytes`` until a sphere of 256 or
-    more vertices makes every row a tuple."""
-    spheres = []
-    wide = False
-    for row in rows:
-        sizes = [0] * (diameter + 1)
-        for i in row:
-            sizes[i] += 1
-        del sizes[0]  # v itself
+def _shift_rows(g: Graph, steps, first, far: int, far_row):
+    """All distance rows of a connected graph, its diameter and its sphere
+    rows, as ``DistanceMatrix`` takes them, from the BFS rows of vertex 0
+    and of a vertex ``far`` farthest from it.
+
+    The root, a vertex minimising ``max(d(0, v), d(far, v))``, takes a full
+    BFS row.  Every other vertex ``v``, in BFS order from the root, starts
+    from the finished row of a neighbour ``p`` one step closer to the root:
+    ``D[w] = d(p, w) + 1``, and ``D[v] = 0``.  A BFS from ``v`` then lowers
+    only the vertices ``y`` with ``D[y] > D[x] + 1`` (Ramalingam and Reps'
+    incremental shortest paths, for a source that moves one edge).  This
+    is exact:
+
+    - at the start ``d(v, w) <= D[w] <= d(v, w) + 2``, as ``p`` and ``v``
+      are adjacent, and ``D[w]`` is exact where ``d(v, w) > d(p, w)``;
+    - every ``w`` with ``d(v, w) <= d(p, w)`` has a shortest path from
+      ``v`` made only of such vertices (for ``u`` on it, ``d(v, u) +
+      d(u, w) = d(v, w) <= d(p, w) <= d(p, u) + d(u, w)``), so in BFS
+      order each of them is lowered to its exact distance;
+    - ``D`` only decreases and ``D[x]`` never does along the queue, so once
+      no vertex has ``D >= D[x] + 2`` none can be lowered later, and the
+      BFS stops.  ``cnt[i]`` counts the vertices with ``D == i``: it starts
+      as ``p``'s sphere row shifted one place and moves one count down at
+      each lowering, and ``top``, the largest ``i`` it holds, gives the
+      stop.  On a complete graph the BFS stops after ``v``'s neighbours,
+      so a row costs ``O(n)``.
+
+    ``cnt`` less ``v`` itself is ``v``'s sphere row and ``top`` its
+    eccentricity, so the diameter is the longest sphere row.
+    """
+    n = g.n
+    adj = g.adj
+    up = steps[1:]
+    reach = list(map(max, first, far_row))
+    root = reach.index(min(reach))
+    rows = [None] * n
+    rows[0] = tuple(first)
+    rows[far] = tuple(far_row)
+    if rows[root] is None:
+        rows[root] = tuple(_bfs_row(g, root, steps))
+    depth = rows[root]
+    # sphere rows are padded to ecc(far) as they are made, and again at the
+    # end only if the diameter is longer: a padded copy of every row would
+    # leave the short originals as holes in the heap
+    low = max(far_row)
+    ecc = [0] * n
+    spheres = [None] * n
+    wide = False  # a sphere of 256 or more vertices
+    for v in sorted(steps[:n], key=depth.__getitem__):
+        if rows[v] is None:
+            for p in adj[v]:
+                if depth[p] < depth[v]:
+                    break
+            D = list(map(up.__getitem__, rows[p]))
+            D[v] = 0
+            cnt = [1, 1, *spheres[p]]
+            cnt[2] -= 1
+            top = ecc[p] + 1
+            queue = [v]
+            for x in queue:
+                while not cnt[top]:
+                    top -= 1
+                dx = D[x]
+                if top < dx + 2:
+                    break
+                dy = up[dx]
+                for y in adj[x]:
+                    d = D[y]
+                    if d > dy:
+                        D[y] = dy
+                        cnt[d] -= 1
+                        cnt[dy] += 1
+                        queue.append(y)
+            while not cnt[top]:
+                top -= 1
+            rows[v] = tuple(D)
+        else:
+            top = max(rows[v])
+            cnt = [0] * (max(top, low) + 1)
+            for d in rows[v]:
+                cnt[d] += 1
+        ecc[v] = steps[top]
+        row = cnt[1 : max(top, low) + 1]
         if not wide:
             try:
-                sizes = bytes(sizes)
-            except ValueError:  # a sphere of 256 or more vertices
+                row = bytes(row)
+            except ValueError:
                 wide = True
-        spheres.append(sizes)
-    return tuple(map(tuple, spheres)) if wide else tuple(spheres)
+        spheres[v] = tuple(row) if wide else row
+    diameter = max(ecc)
+    pad = (0,) * diameter if wide else bytes(diameter)
+    pack = type(pad)
+    for v, row in enumerate(spheres):  # no copy where nothing changes
+        spheres[v] = pack(row) + pad[len(row) :]
+    return tuple(rows), diameter, tuple(spheres)
 
 
 def is_connected(g: Graph) -> bool:
@@ -258,38 +340,37 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     Vertex 0 reaches every vertex exactly when the graph is connected, so
     only its BFS row is checked.  The other rows come from ball growth when
     ``n <= 255`` and the diameter looks small against ``n + 2m`` (see
-    below), else from BFS; either way the rows share one int object per
-    distance, and the sphere rows come with them.
+    below), else from the shift kernel, which reuses the rows of 0 and of
+    a vertex farthest from it; either way the rows share one int object
+    per distance, and the sphere rows come with them.
     """
     n = g.n
     steps = list(range(n + 1))
     first = _bfs_row(g, 0, steps)
     if -1 in first:
         raise DisconnectedError("no path from vertex 0 to some vertex")
-    # BFS costs about n * (n + 2m) edge steps; ball growth costs n reduces
-    # per level, one level per unit of diameter.  One reduce cost 10-14 steps
-    # on cycles of 12-250 vertices, 14-21 on grids of 16-225 and 14-20 on
-    # sparse G(n, p) with n <= 120 (2-vCPU host, CPython 3.11; more on
-    # denser graphs, where BFS is slower still).  At 20 steps a reduce, balls
-    # win once 20 * diameter <= n + 2m.  The diameter is at most 2 * ecc(0),
-    # so 40 * ecc(0) <= n + 2m sends a graph to balls at once: the 400
-    # G(30, 1/4) graphs of the random_batch benchmark ran 1.6-2.5x faster
-    # there, C7xC7 1.9x, G(250, 1/2) 28x.  Otherwise the row of a vertex x
+    # ball growth costs n big-int reduces per level, one level per unit of
+    # diameter; the shift kernel costs a C-level copy of each row plus a BFS
+    # over the vertices that get closer, about half of them on cycles and
+    # grids, fewer on trees, and stops early on dense graphs.  The ratio of
+    # the two tracks (n + 2m) / diameter.  Shift time over ball time, min of
+    # 200 interleaved runs (2-vCPU host, CPython 3.11), with (n + 2m) /
+    # ecc(x) in brackets: path:100 0.24 (3.0), cycle:120 0.56 (6.0),
+    # cycle:20 0.80 (6.0), grid:3x10 0.81 (11.3), grid:4x5 1.00 (11.7),
+    # prism:8 1.10 (12.8), prism:40 1.06 (15.2), grid:6x6 1.13 (15.6),
+    # Petersen 1.34 (20), grid:8x8 1.26 (20.6), K4xK4 1.60 (56).  So balls
+    # win once 12 * diameter <= n + 2m.  The diameter is at most 2 *
+    # ecc(0), so 24 * ecc(0) <= n + 2m sends a graph to balls at once, as
+    # it does the 400 G(30, 1/4) graphs of the random_batch benchmark,
+    # where the shift kernel takes 2.2 times as long.  Otherwise the row of a vertex x
     # farthest from 0 gives ecc(x), at most the diameter and close to it
-    # when 0 is peripheral, and 20 * ecc(x) < n + 2m sends the graph to
-    # balls: Petersen x K2 0.088 against 0.111 ms by BFS, Q5 0.222 against
-    # 0.303 ms, grid:12x12 2.12 against 3.44 ms.  The Petersen graph (20 *
-    # ecc(x) = n + 2m = 40) stays on BFS, 0.029 against 0.033 ms, and so
-    # does cycle:120, 2.1x faster than balls; BFS reuses the row of x.
+    # when 0 is peripheral, and 12 * ecc(x) <= n + 2m sends the graph to
+    # balls; the shift kernel reuses the rows of 0 and x.
     size = n + sum(map(len, g.adj))
-    rows = [first] + [None] * (n - 1)
-    if n <= 255:
-        if 40 * max(first) <= size:
-            return DistanceMatrix(*_ball_rows(g))
-        far = first.index(max(first))
-        rows[far] = _bfs_row(g, far, steps)
-        if 20 * max(rows[far]) < size:
-            return DistanceMatrix(*_ball_rows(g))
-    rows = tuple(tuple(row or _bfs_row(g, v, steps)) for v, row in enumerate(rows))
-    diameter = max(map(max, rows))
-    return DistanceMatrix(rows, diameter, _bfs_spheres(rows, diameter))
+    if n <= 255 and 24 * max(first) <= size:
+        return DistanceMatrix(*_ball_rows(g))
+    far = first.index(max(first))
+    far_row = _bfs_row(g, far, steps)
+    if n <= 255 and 12 * max(far_row) <= size:
+        return DistanceMatrix(*_ball_rows(g))
+    return DistanceMatrix(*_shift_rows(g, steps, first, far, far_row))

@@ -256,6 +256,21 @@ def _bfs_rows(g):
     return [graphs._bfs_row(g, v, steps) for v in range(g.n)]
 
 
+def _shift(g):
+    """The shift kernel on ``g``, from the rows of 0 and a vertex farthest
+    from it, as ``all_pairs_distances`` calls it."""
+    steps = list(range(g.n + 1))
+    first = graphs._bfs_row(g, 0, steps)
+    far = first.index(max(first))
+    return graphs._shift_rows(g, steps, first, far, graphs._bfs_row(g, far, steps))
+
+
+def _shift_rows(g):
+    rows, diameter, _ = _shift(g)
+    assert diameter == max(map(max, rows))
+    return [list(row) for row in rows]
+
+
 def _ball_rows(g):
     rows, diameter, _ = graphs._ball_rows(g)
     assert diameter == max(map(max, rows))
@@ -276,14 +291,14 @@ def _connected_gnp(n, p, rng):
 
 
 class TestDistanceKernels:
-    """Both kernels, called directly: the selection in
-    ``all_pairs_distances`` gives ball growth to no graph the small-graph
-    tests draw."""
+    """Both kernels, called directly, against Floyd-Warshall or closed
+    forms: ``all_pairs_distances`` picks one per graph, so each kernel
+    would otherwise see only its own kind of graph."""
 
     def test_every_connected_graph_up_to_5(self):
         for g in connected_corpus_up_to(5):
             want = floyd_warshall(g)
-            assert _bfs_rows(g) == want
+            assert _shift_rows(g) == want
             assert _ball_rows(g) == want
 
     @pytest.mark.parametrize("n", [20, 35, 50, 80])
@@ -291,7 +306,26 @@ class TestDistanceKernels:
     def test_random_gnp(self, n, p):
         g = _connected_gnp(n, p, random.Random(n * 1000 + int(p * 100)))
         want = floyd_warshall(g)
-        assert _bfs_rows(g) == want
+        assert _shift_rows(g) == want
+        assert _ball_rows(g) == want
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["cycle:9", "cycle:10", "cycle:31", "cycle:32", "caterpillar:1,0,0,1",
+         "caterpillar:2,4,2,2,4,2", "caterpillar:5,5,5,5"],
+    )
+    def test_cycles_and_caterpillars(self, spec):
+        g = generate(parse_family_spec(spec))[0]
+        want = floyd_warshall(g)
+        assert _shift_rows(g) == want
+        assert _ball_rows(g) == want
+
+    @pytest.mark.parametrize("n", [40, 90])
+    def test_random_trees(self, n):
+        rng = random.Random(n)
+        g = build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+        want = floyd_warshall(g)
+        assert _shift_rows(g) == want
         assert _ball_rows(g) == want
 
     @pytest.mark.parametrize(
@@ -312,8 +346,30 @@ class TestDistanceKernels:
         # closed forms stand in for Floyd-Warshall, cubic in n in pure Python
         g = build_graph(255, edges)
         want = [[distance(u, v) for v in range(255)] for u in range(255)]
-        assert _bfs_rows(g) == want
+        assert _shift_rows(g) == want
         assert _ball_rows(g) == want
+
+    @pytest.mark.parametrize(
+        "edges,n,distance,spheres",
+        [
+            ([(u, v) for u in range(256) for v in range(u + 1, 256)], 256,
+             lambda u, v: int(u != v), [[255]] * 256),
+            # the centre's sphere of 299 vertices makes every sphere row a tuple
+            ([(0, v) for v in range(1, 300)], 300,
+             lambda u, v: 0 if u == v else 1 if 0 in (u, v) else 2,
+             [[299, 0]] + [[1, 298]] * 299),
+        ],
+        ids=["complete:256", "star:300"],
+    )
+    def test_shift_beyond_255_vertices(self, edges, n, distance, spheres):
+        g = build_graph(n, edges)
+        rows, diameter, got = _shift(g)
+        assert [list(row) for row in rows] == [
+            [distance(u, v) for v in range(n)] for u in range(n)
+        ]
+        assert diameter == len(spheres[0])
+        assert {type(row) for row in got} == {tuple if n == 300 else bytes}
+        assert [list(row) for row in got] == spheres
 
     def test_ball_rows_share_one_int_per_distance(self):
         g, _ = generate(parse_family_spec("path:255"))
@@ -327,12 +383,11 @@ class TestSphereRows:
 
     @staticmethod
     def kernel_spheres(g):
-        """The sphere rows of ball growth and of BFS, as lists."""
-        rows = _bfs_rows(g)
-        by_bfs = graphs._bfs_spheres(rows, max(map(max, rows)))
+        """The sphere rows of ball growth and of the shift kernel, as lists."""
+        by_shift = _shift(g)[2]
         by_balls = graphs._ball_rows(g)[2]
-        assert {type(row) for row in by_balls + by_bfs} == {bytes}
-        return [list(row) for row in by_balls], [list(row) for row in by_bfs]
+        assert {type(row) for row in by_balls + by_shift} == {bytes}
+        return [list(row) for row in by_balls], [list(row) for row in by_shift]
 
     def test_every_connected_graph_up_to_5(self):
         for g in connected_corpus_up_to(5):
@@ -367,12 +422,36 @@ class TestSphereRows:
 
 
 def _kernel(monkeypatch, g):
-    """The kernel ``all_pairs_distances`` picks for ``g``."""
+    """The kernel ``all_pairs_distances`` picks for ``g``: ball growth, or
+    the shift kernel, a BFS from each vertex that starts from its parent's
+    row."""
     calls = []
     real = graphs._ball_rows
     monkeypatch.setattr(graphs, "_ball_rows", lambda g: calls.append(g) or real(g))
     all_pairs_distances(g)
     return "balls" if calls else "bfs"
+
+
+class _CountedAdj(tuple):
+    """An adjacency tuple that counts the lists read from it."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return tuple.__getitem__(self, v)
+
+
+def _adjacency_reads(g):
+    """How many adjacency lists the shift kernel reads on ``g``, beyond the
+    two BFS rows it is handed."""
+    steps = list(range(g.n + 1))
+    first = graphs._bfs_row(g, 0, steps)
+    far = first.index(max(first))
+    far_row = graphs._bfs_row(g, far, steps)
+    counted = graphs.Graph(g.n, _CountedAdj(g.adj))
+    graphs._shift_rows(counted, steps, first, far, far_row)
+    return counted.adj.reads
 
 
 class TestKernelSelection:
@@ -382,11 +461,14 @@ class TestKernelSelection:
             "complete:30",
             "product:(cycle:7)x(cycle:7)",
             "product:(complete:4)x(complete:5)",
-            # 40 * ecc(0) > n + 2m: chosen by the row of a vertex farthest from 0
+            # 24 * ecc(0) > n + 2m: chosen by the row of a vertex farthest from 0
             "grid:12x12",
             "product:(petersen)x(path:2)",
             # the 5-cube
             "product:(product:(product:(product:(path:2)x(path:2))x(path:2))x(path:2))x(path:2)",
+            # 12 * ecc(x) <= n + 2m by a small margin: 24 <= 40 and 60 <= 64
+            "petersen",
+            "prism:8",
         ],
     )
     def test_ball_growth(self, monkeypatch, spec):
@@ -398,15 +480,19 @@ class TestKernelSelection:
             g = _connected_gnp(30, 0.25, rng)
             assert _kernel(monkeypatch, g) == "balls"
 
-    # the Petersen graph sits on the boundary, 20 * ecc(x) = n + 2m = 40
-    @pytest.mark.parametrize("spec", ["cycle:120", "path:600", "complete:256", "petersen"])
+    # grid:4x5 and cycle:20 sit just past the boundary, 12 * ecc(x) = 84 > 82
+    # and 120 > 60
+    @pytest.mark.parametrize(
+        "spec", ["cycle:120", "path:600", "complete:256", "grid:4x5", "cycle:20"]
+    )
     def test_bfs(self, monkeypatch, spec):
         assert _kernel(monkeypatch, generate(parse_family_spec(spec))[0]) == "bfs"
 
     @pytest.mark.parametrize("spec", ["cycle:120", "petersen", "path:200", "path:600"])
-    def test_bfs_computes_each_row_once(self, monkeypatch, spec):
-        # below 256 vertices the row of a vertex farthest from 0 is taken
-        # before BFS is chosen, and kept
+    def test_full_bfs_only_from_0_far_and_root(self, monkeypatch, spec):
+        # a full BFS row is taken from vertex 0, then from the first vertex
+        # farthest from it, and, when the shift kernel runs, from the root,
+        # which minimises the larger of the two distances
         g = generate(parse_family_spec(spec))[0]
         want = _bfs_rows(g)
         sources = []
@@ -415,4 +501,24 @@ class TestKernelSelection:
             graphs, "_bfs_row", lambda g, v, steps: sources.append(v) or real(g, v, steps)
         )
         assert [list(row) for row in all_pairs_distances(g).dist] == want
-        assert sorted(sources) == list(range(g.n))
+        far = want[0].index(max(want[0]))
+        reach = list(map(max, want[0], want[far]))
+        assert sources in ([0, far], [0, far, reach.index(min(reach))])
+        assert len(sources) == (2 if spec == "petersen" else 3)
+
+    @pytest.mark.parametrize("n", [256, 600])
+    def test_complete_graph_row_reads_its_own_adjacency_only(self, n):
+        # the BFS of each row stops after the new source's neighbours, so a
+        # row costs O(n): the root's BFS reads n lists, and every other row
+        # reads its own list twice (parent, then lowering)
+        g = generate(FamilySpec("complete", (n,)))[0]
+        assert _adjacency_reads(g) <= 3 * n
+
+    @pytest.mark.parametrize("n", [301, 600])
+    def test_path_rows_lower_only_the_far_side(self, n):
+        # moving the source one step away from the central root brings
+        # closer only the vertices beyond it, about n^2 / 4 reads in all; a
+        # BFS that lowered vertices already at their distance would read
+        # about n per row
+        g = generate(FamilySpec("path", (n,)))[0]
+        assert _adjacency_reads(g) <= n * n // 4 + 3 * n
