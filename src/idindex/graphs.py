@@ -280,12 +280,13 @@ def _shift_rows(g: Graph, steps, first, far: int, far_row):
     ecc = [0] * n
     spheres = [None] * n
     wide = False  # a sphere of 256 or more vertices
+    D = list(first)  # one buffer, refilled for each row (n >= 2: a tuple)
     for v in sorted(steps[:n], key=depth.__getitem__):
         if rows[v] is None:
             for p in adj[v]:
                 if depth[p] < depth[v]:
                     break
-            D = list(map(up.__getitem__, rows[p]))
+            D[:] = itemgetter(*rows[p])(up)
             D[v] = 0
             cnt = [1, 1, *spheres[p]]
             cnt[2] -= 1
@@ -310,11 +311,11 @@ def _shift_rows(g: Graph, steps, first, far: int, far_row):
             rows[v] = tuple(D)
         else:
             top = max(rows[v])
-            cnt = [0] * (max(top, low) + 1)
+            cnt = [0] * ((top if top > low else low) + 1)
             for d in rows[v]:
                 cnt[d] += 1
         ecc[v] = steps[top]
-        row = cnt[1 : max(top, low) + 1]
+        row = cnt[1 : (top if top > low else low) + 1]
         if not wide:
             try:
                 row = bytes(row)
@@ -349,28 +350,26 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     first = _bfs_row(g, 0, steps)
     if -1 in first:
         raise DisconnectedError("no path from vertex 0 to some vertex")
-    # ball growth costs n big-int reduces per level, one level per unit of
-    # diameter; the shift kernel costs a C-level copy of each row plus a BFS
-    # over the vertices that get closer, about half of them on cycles and
-    # grids, fewer on trees, and stops early on dense graphs.  The ratio of
-    # the two tracks (n + 2m) / diameter.  Shift time over ball time, min of
-    # 200 interleaved runs (2-vCPU host, CPython 3.11), with (n + 2m) /
-    # ecc(x) in brackets: path:100 0.24 (3.0), cycle:120 0.56 (6.0),
-    # cycle:20 0.80 (6.0), grid:3x10 0.81 (11.3), grid:4x5 1.00 (11.7),
-    # prism:8 1.10 (12.8), prism:40 1.06 (15.2), grid:6x6 1.13 (15.6),
-    # Petersen 1.34 (20), grid:8x8 1.26 (20.6), K4xK4 1.60 (56).  So balls
-    # win once 12 * diameter <= n + 2m.  The diameter is at most 2 *
-    # ecc(0), so 24 * ecc(0) <= n + 2m sends a graph to balls at once, as
-    # it does the 400 G(30, 1/4) graphs of the random_batch benchmark,
-    # where the shift kernel takes 2.2 times as long.  Otherwise the row of a vertex x
-    # farthest from 0 gives ecc(x), at most the diameter and close to it
-    # when 0 is peripheral, and 12 * ecc(x) <= n + 2m sends the graph to
-    # balls; the shift kernel reuses the rows of 0 and x.
+    # ball growth costs n big-int reduces per unit of diameter; the shift
+    # kernel a C-level copy of each row and a BFS over the vertices that get
+    # closer (about half on cycles and grids, fewer on trees, few on dense
+    # graphs).  Their time ratio tracks (n + 2m) / diameter.  Shift time over
+    # ball time, min of 200 interleaved runs (2-vCPU host, CPython 3.11),
+    # with (n + 2m) / ecc(x) in brackets: path:100 0.20 (3.0), cycle:20 0.72
+    # (6.0), grid:4x5 0.90 (11.7), prism:8 0.97 (12.8), prism:40 0.89
+    # (15.2), grid:6x6 0.98 (15.6), Petersen 1.21 (20), grid:8x8 1.14
+    # (20.6), K4xK4 1.43 (56).  So balls win once 16 * diameter <= n + 2m.
+    # The diameter is at most 2 * ecc(0), so 32 * ecc(0) <= n + 2m sends a
+    # graph to balls at once, as it does the G(30, 1/4) graphs of the
+    # random_batch benchmark (shift about 2x slower there).  Otherwise the
+    # row of a vertex x farthest from 0 gives ecc(x), at most the diameter
+    # and close to it when 0 is peripheral, and 16 * ecc(x) <= n + 2m sends
+    # the graph to balls; the shift kernel reuses the rows of 0 and x.
     size = n + sum(map(len, g.adj))
-    if n <= 255 and 24 * max(first) <= size:
+    if n <= 255 and 32 * max(first) <= size:
         return DistanceMatrix(*_ball_rows(g))
     far = first.index(max(first))
     far_row = _bfs_row(g, far, steps)
-    if n <= 255 and 12 * max(far_row) <= size:
+    if n <= 255 and 16 * max(far_row) <= size:
         return DistanceMatrix(*_ball_rows(g))
     return DistanceMatrix(*_shift_rows(g, steps, first, far, far_row))

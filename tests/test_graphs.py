@@ -371,6 +371,26 @@ class TestDistanceKernels:
         assert {type(row) for row in got} == {tuple if n == 300 else bytes}
         assert [list(row) for row in got] == spheres
 
+    def test_shift_wide_spheres_past_ecc_far(self):
+        # a hub of 260 leaves makes every sphere row a tuple; where the
+        # diameter is longer than ecc(far), the rows padded to ecc(far) as
+        # they were made are padded again
+        rng = random.Random(1)
+        longer = 0
+        for _ in range(15):
+            k = rng.randint(4, 9)
+            edges = {(rng.randrange(v), v) for v in range(1, k)}
+            edges |= {(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < 0.35}
+            hub = rng.randrange(k)
+            g = build_graph(k + 260, edges | {(hub, v) for v in range(k, k + 260)})
+            want = _bfs_rows(g)
+            rows, diameter, spheres = _shift(g)
+            assert [list(row) for row in rows] == want
+            assert {type(row) for row in spheres} == {tuple}
+            assert [list(row) for row in spheres] == counted_spheres(want)
+            longer += diameter > max(want[want[0].index(max(want[0]))])
+        assert longer
+
     def test_ball_rows_share_one_int_per_distance(self):
         g, _ = generate(parse_family_spec("path:255"))
         rows, _, _ = graphs._ball_rows(g)
@@ -458,17 +478,16 @@ class TestKernelSelection:
     @pytest.mark.parametrize(
         "spec",
         [
+            # 32 * ecc(0) <= n + 2m
             "complete:30",
             "product:(cycle:7)x(cycle:7)",
             "product:(complete:4)x(complete:5)",
-            # 24 * ecc(0) > n + 2m: chosen by the row of a vertex farthest from 0
-            "grid:12x12",
             "product:(petersen)x(path:2)",
             # the 5-cube
             "product:(product:(product:(product:(path:2)x(path:2))x(path:2))x(path:2))x(path:2)",
-            # 12 * ecc(x) <= n + 2m by a small margin: 24 <= 40 and 60 <= 64
+            # chosen by the row of a vertex x farthest from 0, 16 * ecc(x) <= n + 2m
+            "grid:12x12",
             "petersen",
-            "prism:8",
         ],
     )
     def test_ball_growth(self, monkeypatch, spec):
@@ -480,10 +499,9 @@ class TestKernelSelection:
             g = _connected_gnp(30, 0.25, rng)
             assert _kernel(monkeypatch, g) == "balls"
 
-    # grid:4x5 and cycle:20 sit just past the boundary, 12 * ecc(x) = 84 > 82
-    # and 120 > 60
+    # prism:8 sits just past the boundary, 16 * ecc(x) = 80 > n + 2m = 64
     @pytest.mark.parametrize(
-        "spec", ["cycle:120", "path:600", "complete:256", "grid:4x5", "cycle:20"]
+        "spec", ["cycle:120", "path:600", "complete:256", "prism:8", "grid:4x5", "cycle:20"]
     )
     def test_bfs(self, monkeypatch, spec):
         assert _kernel(monkeypatch, generate(parse_family_spec(spec))[0]) == "bfs"
