@@ -463,14 +463,10 @@ class _CountedAdj(tuple):
 
 
 def _adjacency_reads(g):
-    """How many adjacency lists the shift kernel reads on ``g``, beyond the
-    two BFS rows it is handed."""
-    steps = list(range(g.n + 1))
-    first = graphs._bfs_row(g, 0, steps)
-    far = first.index(max(first))
-    far_row = graphs._bfs_row(g, far, steps)
+    """How many adjacency lists the shift kernel reads on ``g``, with the
+    BFS rows of 0 and of a vertex farthest from it."""
     counted = graphs.Graph(g.n, _CountedAdj(g.adj))
-    graphs._shift_rows(counted, steps, first, far, far_row)
+    _shift(counted)
     return counted.adj.reads
 
 
@@ -521,16 +517,17 @@ class TestKernelSelection:
         assert [list(row) for row in all_pairs_distances(g).dist] == want
         far = want[0].index(max(want[0]))
         reach = list(map(max, want[0], want[far]))
-        assert sources in ([0, far], [0, far, reach.index(min(reach))])
-        assert len(sources) == (2 if spec == "petersen" else 3)
+        root = reach.index(min(reach))
+        assert sources == ([0, far] if spec == "petersen" else [0, far, root])
 
     @pytest.mark.parametrize("n", [256, 600])
     def test_complete_graph_row_reads_its_own_adjacency_only(self, n):
         # the BFS of each row stops after the new source's neighbours, so a
-        # row costs O(n): the root's BFS reads n lists, and every other row
-        # reads its own list twice (parent, then lowering)
+        # row costs O(n): the full BFS rows of 0, x and the root read n lists
+        # each, and every other row reads its own list twice (parent, then
+        # lowering)
         g = generate(FamilySpec("complete", (n,)))[0]
-        assert _adjacency_reads(g) <= 3 * n
+        assert _adjacency_reads(g) <= 5 * n
 
     @pytest.mark.parametrize("n", [301, 600])
     def test_path_rows_lower_only_the_far_side(self, n):
@@ -539,4 +536,4 @@ class TestKernelSelection:
         # BFS that lowered vertices already at their distance would read
         # about n per row
         g = generate(FamilySpec("path", (n,)))[0]
-        assert _adjacency_reads(g) <= n * n // 4 + 3 * n
+        assert _adjacency_reads(g) <= n * n // 4 + 5 * n
