@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import os
@@ -470,6 +471,9 @@ def run(argv=None) -> int:
     # interpreter's int/str conversion limit; lift it for this call only
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
+    # no command leaves cyclic garbage that grows with its work: pause the GC
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
         # Python sets stdout to None when the process starts with it closed;
         # refuse before any work, unless the output goes to a file
@@ -502,6 +506,8 @@ def run(argv=None) -> int:
         return 4
     finally:
         sys.set_int_max_str_digits(digit_limit)
+        if gc_enabled:
+            gc.enable()
 
 
 def main() -> None:

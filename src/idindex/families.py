@@ -9,7 +9,10 @@ rank constructions and tests all agree on which vertex is which:
   vertex, ascending;
 * Cartesian products: pair ``(g, h)`` gets id ``h * |G| + g``; one product
   builder serves ``product``, grids (``path(m) x path(n)``) and prisms
-  (``cycle(n) x path(2)``), which keep their own role tags.
+  (``cycle(n) x path(2)``), which keep their own role tags;
+* ``Graph.automorphisms``: reflection (paths), rotation and reflection
+  (cycles), rotation and swap of 0 and 1 (complete), each factor's lifted
+  plus the swap of equal factor specs (products); other kinds carry none.
 
 Each kind is one ``_Kind`` record in ``_KINDS``: its parameter separator
 (None for Petersen), parameter count (exact, or at least), least parameter
@@ -186,17 +189,24 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
 
 def _path(n):
     g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    return g, tuple(("path", i) for i in range(n))
+    return _symmetric(g, tuple(range(n - 1, -1, -1))), tuple(("path", i) for i in range(n))
 
 
 def _cycle(n):
     g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    return g, tuple(("cycle", i) for i in range(n))
+    r = tuple(range(n))
+    return _symmetric(g, r[1:] + r[:1], r[:1] + r[:0:-1]), tuple(("cycle", i) for i in r)
 
 
 def _complete(n):
-    g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    return g, tuple(("complete", i) for i in range(n))
+    r = tuple(range(n))  # no edge list: build_graph's takes 10x the memory
+    g = Graph(n, tuple(r[:v] + r[v + 1 :] for v in r))
+    return _symmetric(g, r[1:] + r[:1], (1, 0) + r[2:]), tuple(("complete", i) for i in r)
+
+
+def _symmetric(g: Graph, *gens) -> Graph:
+    """``g`` with the automorphisms ``gens``; a one-vertex graph has none."""
+    return Graph(g.n, g.adj, gens if g.n > 1 else ())
 
 
 def _multipartite(*sizes):
@@ -211,16 +221,17 @@ def _product_of(sa: FamilySpec, sb: FamilySpec):
     roles of both factors: pair ``(g, h)`` gets id ``h * |G| + g``."""
     ga, roles_a = generate(sa)
     gb, roles_b = generate(sb)
-    na = ga.n
-    edges_a = list(ga.edges())
-    edges = []
-    for h in range(gb.n):
-        base = h * na
-        edges.extend((base + u, base + v) for u, v in edges_a)
-    for u, v in gb.edges():
-        base_u, base_v = u * na, v * na
-        edges.extend((base_u + g, base_v + g) for g in range(na))
-    return build_graph(na * gb.n, edges), roles_a, roles_b
+    na, nb = ga.n, gb.n
+    adj = tuple(
+        tuple(sorted([h * na + y for y in ga.adj[x]] + [t * na + x for t in gb.adj[h]]))
+        for h in range(nb)
+        for x in range(na)
+    )
+    gens = [tuple(h * na + x for h in range(nb) for x in s) for s in ga.automorphisms]
+    gens += [tuple(t * na + x for t in s for x in range(na)) for s in gb.automorphisms]
+    if sa == sb:
+        gens.append(tuple(g * na + h for h in range(nb) for g in range(na)))
+    return _symmetric(Graph(na * nb, adj), *gens), roles_a, roles_b
 
 
 def _product(sa, sb):

@@ -10,13 +10,13 @@ Ball growth, on graphs of at most 255 vertices whose diameter is small
 against their size, keeps each vertex's ball as one integer with a byte per
 vertex and grows every ball by one level with a few big-int ORs.  The shift
 kernel takes every other graph: each row starts as a neighbour's row plus
-one, and a BFS lowers only the vertices that get closer.  Both give the
-same rows and count the spheres.
+one, and a BFS lowers only the vertices that get closer, once per orbit
+of known automorphisms.  Both give the same rows and count the spheres.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, itemgetter, or_
 
@@ -64,8 +64,8 @@ class DisconnectedError(GraphError):
 # peaks at 86 MB for N = 2,000, and `verify --construct` on a path (ranks of
 # up to N + 1 bits) at 616 MB; at N = 4,000 the latter took 4.1 GB.  Dense
 # graphs no longer cost n^3 BFS steps: `analyze --family complete:2000`
-# takes 2.1 s (160 s with a full BFS from every vertex) but peaks at
-# 495 MB, all of it from building the graph's 2M edges
+# takes 0.8 s (160 s with a full BFS from every vertex) and peaks at 78 MB
+# (495 MB while `complete` was built from its list of 2M edges)
 MAX_VERTICES = 2_000
 
 
@@ -82,10 +82,13 @@ class Graph:
 
     ``adj[v]`` is the sorted tuple of neighbours of ``v``.  Instances should
     be built through :func:`build_graph`, which validates simplicity.
+    ``automorphisms``, not compared or shown, generate a group of automorphisms
+    (image tuples, no identity); ``all_pairs_distances`` checks them before use.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
+    automorphisms: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
     def edges(self):
         """Yield each undirected edge once, as (u, v) with u < v."""
@@ -261,6 +264,10 @@ def _shift_rows(g: Graph, steps, first, far: int, far_row):
 
     ``cnt`` less ``v`` itself is ``v``'s sphere row and ``top`` its
     eccentricity, so the diameter is the longest sphere row.
+
+    ``v``'s orbit under ``g.automorphisms`` then shares its sphere row and
+    eccentricity, and as ``d(s(u), x) = d(u, s^-1(x))``, each new image
+    ``s(u)`` gathers the row of ``u`` through ``s^-1``.
     """
     n = g.n
     adj = g.adj
@@ -281,7 +288,10 @@ def _shift_rows(g: Graph, steps, first, far: int, far_row):
     spheres = [None] * n
     wide = False  # a sphere of 256 or more vertices
     D = list(first)  # one buffer, refilled for each row (n >= 2: a tuple)
+    gens = [(s, itemgetter(*sorted(steps[:n], key=s.__getitem__))) for s in g.automorphisms]
     for v in sorted(steps[:n], key=depth.__getitem__):
+        if spheres[v] is not None:  # filled with its orbit
+            continue
         if rows[v] is None:
             for p in adj[v]:
                 if depth[p] < depth[v]:
@@ -321,13 +331,30 @@ def _shift_rows(g: Graph, steps, first, far: int, far_row):
                 row = bytes(row)
             except ValueError:
                 wide = True
-        spheres[v] = tuple(row) if wide else row
+        spheres[v] = row = tuple(row) if wide else row
+        orbit = [v]
+        for u in orbit:
+            for s, gather in gens:
+                w = s[u]
+                if spheres[w] is None:
+                    rows[w] = gather(rows[u])
+                    spheres[w], ecc[w] = row, ecc[v]
+                    orbit.append(w)
     diameter = max(ecc)
     pad = (0,) * diameter if wide else bytes(diameter)
     pack = type(pad)
     for v, row in enumerate(spheres):  # no copy where nothing changes
         spheres[v] = pack(row) + pad[len(row) :]
     return tuple(rows), diameter, tuple(spheres)
+
+
+def _check_automorphisms(g: Graph) -> None:
+    """Raise ``AssertionError`` unless each generator maps adj[v] onto adj[s(v)]."""
+    for s in g.automorphisms:  # a leading 0 makes each gather a tuple
+        if sorted(s) != list(range(g.n)) or any(
+            g.adj[w] != tuple(sorted(itemgetter(0, *a)(s)[1:])) for w, a in zip(s, g.adj)
+        ):
+            raise AssertionError("a graph generator is not an automorphism")
 
 
 def is_connected(g: Graph) -> bool:
@@ -372,4 +399,5 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     far_row = _bfs_row(g, far, steps)
     if n <= 255 and 16 * max(far_row) <= size:
         return DistanceMatrix(*_ball_rows(g))
+    _check_automorphisms(g)
     return DistanceMatrix(*_shift_rows(g, steps, first, far, far_row))

@@ -297,7 +297,7 @@ class _PairWatcher:
         u_at = itemgetter(*(u for u, _ in self.pairs), 0, 0)
         v_at = itemgetter(*(v for _, v in self.pairs), 0, 0)
 
-        base = max(max(row, default=0) for row in dm.spheres) + 1
+        base = max(max(row, default=0) for row in set(dm.spheres)) + 1
         bias = self.bias = base**dm.diameter - 1
         size = (2 * bias).bit_length() // 8 + 1  # bytes, guard bit included
         width = self.width = 8 * size

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import idindex.cli as cli
 import idindex.families as families
 import idindex.solvers as solvers
+from idindex.graphs import Graph
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -261,6 +263,20 @@ class TestCompute:
         code, out, err = run_cli(capsys, "compute", "--family", "path:3")
         assert code == 4 and out == ""
         assert err == "internal invariant violated: witness fails re-verification\n"
+
+    def test_builder_with_a_non_automorphism_exits_4(self, capsys, monkeypatch):
+        # cycle:120 takes the shift kernel, which checks every generator first
+        kind = families._KINDS["cycle"]
+
+        def swapped(n):
+            g, roles = kind.build(n)
+            r = tuple(range(n))
+            return Graph(g.n, g.adj, (r[1:2] + r[:1] + r[2:],)), roles
+
+        monkeypatch.setitem(families._KINDS, "cycle", kind._replace(build=swapped))
+        code, out, err = run_cli(capsys, "compute", "--family", "cycle:120")
+        assert (code, out) == (4, "")
+        assert err == "internal error: AssertionError: a graph generator is not an automorphism\n"
 
     def test_id_number_size_budget(self, capsys):
         # all 79,800 pairs of 400 vertices are watched: refused before building
@@ -1238,6 +1254,49 @@ class TestTopLevel:
         capsys.readouterr()
         # later tests get a parser built from the real class
         cli._parser.cache_clear()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_cyclic_collector_paused_for_the_call(self, capsys, monkeypatch, enabled):
+        during = []
+        kind = families._KINDS["cycle"]
+
+        def recording(n):
+            during.append(gc.isenabled())
+            g, roles = kind.build(n)
+            # the shift kernel of cycle:120 refuses a map that is no permutation
+            return Graph(g.n, g.adj, ((0,) * n,) if n == 120 else g.automorphisms), roles
+
+        monkeypatch.setitem(families._KINDS, "cycle", kind._replace(build=recording))
+        cases = [
+            (0, ["compute", "--family", "cycle:5"]),
+            (2, ["compute", "--family", "cycle:2"]),
+            (3, ["compute", "--family", "cycle:7", "--budget-nodes", "4"]),
+            (4, ["compute", "--family", "cycle:120"]),
+        ]
+        if not enabled:
+            gc.disable()
+        try:
+            for code, argv in cases:
+                assert cli.run(argv) == code
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert during == [False] * 3  # cycle:2 is refused before it is built
+
+    def test_second_sweep_leaves_no_cyclic_garbage(self, capsys):
+        # the collector is off throughout, so that none runs between the
+        # command and the count
+        argv = ["sweep", "--random", "n=30,count=60"]
+        gc.disable()
+        try:
+            assert cli.run(argv) == 0  # the first leaves what it builds once
+            gc.collect()
+            assert cli.run(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
 
     def test_module_entry_point(self):
         proc = run_module("compute", "--family", "path:3")

@@ -11,7 +11,15 @@ from idindex.families import (
     parse_family_spec,
     random_connected_graph,
 )
-from idindex.graphs import MAX_VERTICES, GraphError, all_pairs_distances
+from idindex import graphs
+from idindex.graphs import (
+    MAX_VERTICES,
+    Graph,
+    GraphError,
+    all_pairs_distances,
+    build_graph,
+    parse_edge_list,
+)
 
 
 class TestParseFamilySpec:
@@ -325,3 +333,112 @@ class TestVertexLimit:
         with pytest.raises(GraphError, match="^graph needs 2001 vertices, limit 2000$"):
             random_connected_graph(MAX_VERTICES + 1, rng)
         assert rng.getstate() == state
+
+
+def _orbit(g, v):
+    """The orbit of ``v`` under the group ``g.automorphisms`` generates."""
+    orbit = {v}
+    todo = [v]
+    for u in todo:
+        for s in g.automorphisms:
+            if s[u] not in orbit:
+                orbit.add(s[u])
+                todo.append(s[u])
+    return orbit
+
+
+class TestAutomorphisms:
+    # products of equal factors, of unequal factors and of nested factors
+    PRODUCTS = [
+        "grid:1x1", "grid:1x6", "grid:2x2", "grid:3x3", "grid:4x6", "grid:5x5",
+        "prism:3", "prism:4", "prism:9",
+        "product:(cycle:5)x(cycle:5)",
+        "product:(complete:4)x(complete:4)",
+        "product:(complete:4)x(complete:5)",
+        "product:(path:3)x(cycle:4)",
+        "product:(petersen)x(path:2)",
+        "product:(multipartite:1,2)x(path:3)",
+        "product:(product:(path:2)x(path:2))x(product:(path:2)x(path:2))",
+        "product:(product:(cycle:3)x(path:2))x(complete:3)",
+        "product:(path:2)x(product:(path:2)x(product:(path:2)x(path:2)))",
+    ]
+    SPECS = [
+        *(f"path:{n}" for n in range(1, 51)),
+        *(f"cycle:{n}" for n in range(3, 51)),
+        *(f"complete:{n}" for n in range(1, 31)),
+        *PRODUCTS,
+    ]
+
+    def test_every_generator_passes_the_check(self):
+        for text in self.SPECS:
+            g, _ = generate(parse_family_spec(text))
+            graphs._check_automorphisms(g)
+            # and, on the edge set, the same question asked another way
+            edges = {frozenset(e) for e in g.edges()}
+            for s in g.automorphisms:
+                assert type(s) is tuple and sorted(s) == list(range(g.n)), text
+                assert s != tuple(range(g.n)), text  # no identity
+                assert {frozenset((s[u], s[v])) for u, v in edges} == edges, text
+
+    @pytest.mark.parametrize(
+        "text,orbits",
+        [
+            ("path:1", 1),
+            ("path:6", 3),
+            ("path:7", 4),
+            ("cycle:9", 1),
+            ("complete:2", 1),
+            ("complete:7", 1),
+            ("prism:5", 1),
+            ("product:(cycle:5)x(cycle:5)", 1),
+            ("product:(complete:4)x(complete:5)", 1),
+            # corners, edge cells and the centre
+            ("grid:3x3", 3),
+            # without the swap of unequal factors: corners, two kinds of side
+            # cell, inner cells
+            ("grid:3x4", 4),
+            ("product:(product:(path:2)x(path:2))x(product:(path:2)x(path:2))", 1),
+        ],
+    )
+    def test_orbits(self, text, orbits):
+        g, _ = generate(parse_family_spec(text))
+        assert len({frozenset(_orbit(g, v)) for v in range(g.n)}) == orbits
+
+    def test_complete_graph_symmetric_group(self):
+        # the transposition (0 1) and the rotation generate every permutation
+        g, _ = generate(FamilySpec("complete", (4,)))
+        group = {tuple(range(4))}
+        todo = list(group)
+        for p in todo:
+            for s in g.automorphisms:
+                q = tuple(s[x] for x in p)
+                if q not in group:
+                    group.add(q)
+                    todo.append(q)
+        assert len(group) == 24
+
+    @pytest.mark.parametrize(
+        "text", ["multipartite:2,3", "petersen", "caterpillar:2,0,3"]
+    )
+    def test_other_kinds_carry_none(self, text):
+        assert generate(parse_family_spec(text))[0].automorphisms == ()
+
+    def test_random_and_parsed_graphs_carry_none(self):
+        assert random_connected_graph(8, random.Random(0)).automorphisms == ()
+        assert parse_edge_list("0 1\n1 2\n2 0\n").automorphisms == ()
+
+    def test_complete_adjacency_equals_build_graph(self):
+        for n in range(1, 41):
+            g, _ = generate(FamilySpec("complete", (n,)))
+            built = build_graph(n, itertools.combinations(range(n), 2))
+            assert g.adj == built.adj
+
+    @pytest.mark.parametrize("text", ["path:5", "cycle:6", "complete:4", "grid:3x3"])
+    def test_equality_hash_and_repr_ignore_automorphisms(self, text):
+        g, _ = generate(parse_family_spec(text))
+        parsed = parse_edge_list("".join(f"{u} {v}\n" for u, v in g.edges()))
+        bare = Graph(g.n, g.adj)
+        assert g.automorphisms and not parsed.automorphisms
+        assert g == parsed == bare
+        assert hash(g) == hash(parsed) == hash(bare)
+        assert repr(g) == repr(parsed) == repr(bare)

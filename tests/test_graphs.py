@@ -11,6 +11,7 @@ import idindex.cli as cli
 import idindex.graphs as graphs
 from idindex.graphs import (
     DisconnectedError,
+    Graph,
     DuplicateEdgeError,
     EmptyInputError,
     GraphError,
@@ -395,6 +396,54 @@ class TestDistanceKernels:
         g, _ = generate(parse_family_spec("path:255"))
         rows, _, _ = graphs._ball_rows(g)
         assert len({id(d) for row in rows for d in row}) == 255
+
+
+class TestOrbitRows:
+    """The shift kernel on family graphs, which copy rows along the orbits
+    of their automorphisms, against the same adjacency without them."""
+
+    SMALL = [
+        "path:2", "path:9", "path:30", "cycle:3", "cycle:9", "cycle:31",
+        "complete:2", "complete:3", "complete:12", "grid:2x2", "grid:4x5",
+        "grid:5x5", "prism:3", "prism:8", "product:(cycle:5)x(cycle:5)",
+        "product:(complete:4)x(complete:5)", "product:(path:3)x(cycle:6)",
+        "product:(product:(path:2)x(path:3))x(product:(path:2)x(path:3))",
+    ]
+
+    @staticmethod
+    def as_lists(result):
+        rows, diameter, spheres = result
+        return [list(row) for row in rows], diameter, [list(row) for row in spheres]
+
+    @pytest.mark.parametrize("spec", SMALL)
+    def test_small_against_floyd_warshall(self, spec):
+        g = generate(parse_family_spec(spec))[0]
+        got = self.as_lists(_shift(g))
+        want = floyd_warshall(g)
+        assert got == (want, max(map(max, want)), counted_spheres(want))
+        assert got == self.as_lists(_shift(Graph(g.n, g.adj)))
+        assert all_pairs_distances(g) == all_pairs_distances(Graph(g.n, g.adj))
+
+    @pytest.mark.parametrize(
+        "spec", ["path:600", "cycle:120", "complete:300", "prism:40", "grid:12x30"]
+    )
+    def test_large_against_the_bare_adjacency(self, spec):
+        g = generate(parse_family_spec(spec))[0]
+        dm, bare = all_pairs_distances(g), all_pairs_distances(Graph(g.n, g.adj))
+        assert dm == bare
+        assert list(map(type, dm.spheres)) == list(map(type, bare.spheres))
+
+    def test_vertex_transitive_rows_share_one_sphere_row(self):
+        dm = all_pairs_distances(generate(parse_family_spec("cycle:120"))[0])
+        assert len(set(map(id, dm.spheres))) == 1
+        assert len({id(d) for row in dm.dist for d in row}) == dm.diameter + 1
+
+    def test_a_non_automorphism_is_refused(self):
+        g = generate(parse_family_spec("cycle:120"))[0]
+        r = tuple(range(120))
+        for s in [r[1:2] + r[:1] + r[2:], r[:-1] + (0,), r[:-1], r + (120,)]:
+            with pytest.raises(AssertionError, match="not an automorphism"):
+                all_pairs_distances(Graph(g.n, g.adj, (s,)))
 
 
 class TestSphereRows:
