@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, combinations, pairwise
+from itertools import accumulate, pairwise
 from math import prod
 from typing import Callable, NamedTuple
 
@@ -199,8 +199,8 @@ def _cycle(n):
 
 
 def _complete(n):
-    r = tuple(range(n))  # no edge list: build_graph's takes 10x the memory
-    g = Graph(n, tuple(r[:v] + r[v + 1 :] for v in r))
+    g, _ = _multipartite(*(1,) * n)
+    r = tuple(range(n))
     return _symmetric(g, r[1:] + r[:1], (1, 0) + r[2:]), tuple(("complete", i) for i in r)
 
 
@@ -210,10 +210,11 @@ def _symmetric(g: Graph, *gens) -> Graph:
 
 
 def _multipartite(*sizes):
-    parts = [range(a, b) for a, b in pairwise(accumulate(sizes, initial=0))]
-    edges = [(u, v) for pu, pv in combinations(parts, 2) for u in pu for v in pv]
+    r = tuple(range(sum(sizes)))  # no edge list: build_graph's takes 10x the memory
+    parts = pairwise(accumulate(sizes, initial=0))
+    adj = tuple(row for a, b in parts for row in [r[:a] + r[b:]] * (b - a))
     roles = tuple(("part", p, j) for p, m in enumerate(sizes) for j in range(m))
-    return build_graph(sum(sizes), edges), roles
+    return Graph(len(r), adj), roles
 
 
 def _product_of(sa: FamilySpec, sb: FamilySpec):

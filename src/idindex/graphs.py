@@ -10,8 +10,9 @@ Ball growth, on graphs of at most 255 vertices whose diameter is small
 against their size, keeps each vertex's ball as one integer with a byte per
 vertex and grows every ball by one level with a few big-int ORs.  The shift
 kernel takes every other graph: each row starts as a neighbour's row plus
-one, and a BFS lowers only the vertices that get closer, once per orbit
-of known automorphisms.  Both give the same rows and count the spheres.
+one, the first as an all-unreached row, and a BFS lowers only the vertices
+that get closer, once per orbit of known automorphisms.  Both give the
+same rows and count the spheres.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ class DisconnectedError(GraphError):
 # n^2 entries: with CPython 3.11 on a 2-vCPU host, `compute --family path:N`
 # peaks at 86 MB for N = 2,000, and `verify --construct` on a path (ranks of
 # up to N + 1 bits) at 616 MB; at N = 4,000 the latter took 4.1 GB.  Dense
-# graphs no longer cost n^3 BFS steps: `analyze --family complete:2000`
-# takes 0.8 s (160 s with a full BFS from every vertex) and peaks at 78 MB
-# (495 MB while `complete` was built from its list of 2M edges)
+# graphs cost O(n) per distance row and are built without an edge list:
+# `analyze` takes 0.8 s and 77 MB on complete:2000 (160 s by a full BFS
+# per row), 0.6 s and 62 MB on multipartite:1000,1000 (193 MB from edges)
 MAX_VERTICES = 2_000
 
 
@@ -186,13 +187,16 @@ def _bfs_row(g: Graph, source: int, steps):
 
     ``steps`` is ``range(g.n + 1)`` as a list: a distance ``d`` is stored as
     ``steps[d]``, so every row shares one int object per distance value.
-    The queue is a list read while it grows.
+    The queue is a list read while it grows, until it holds every vertex.
     """
-    dist = [-1] * g.n
+    n = g.n
+    dist = [-1] * n
     dist[source] = 0
     queue = [source]
     adj = g.adj
     for u in queue:
+        if len(queue) == n:  # every vertex found
+            break
         du = steps[dist[u] + 1]
         for v in adj[u]:
             if dist[v] < 0:
@@ -235,95 +239,88 @@ def _ball_rows(g: Graph):
     return rows, len(levels), tuple([flat[v::n] for v in range(n)])
 
 
-def _shift_rows(g: Graph, steps, first, far: int, far_row):
+def _shift_rows(g: Graph, steps, first, far_row):
     """All distance rows of a connected graph, its diameter and its sphere
-    rows, as ``DistanceMatrix`` takes them, from the BFS rows of vertex 0
-    and of a vertex ``far`` farthest from it.
+    rows, as ``DistanceMatrix`` takes them.  The BFS rows of 0 and of a
+    vertex ``far`` farthest from it only pick the root, a vertex minimising
+    ``max(d(0, v), d(far, v))``, and the length sphere rows are padded to.
 
-    The root, a vertex minimising ``max(d(0, v), d(far, v))``, takes a full
-    BFS row.  Every other vertex ``v``, in BFS order from the root, starts
-    from the finished row of a neighbour ``p`` one step closer to the root:
-    ``D[w] = d(p, w) + 1``, and ``D[v] = 0``.  A BFS from ``v`` then lowers
-    only the vertices ``y`` with ``D[y] > D[x] + 1`` (Ramalingam and Reps'
-    incremental shortest paths, for a source that moves one edge).  This
-    is exact:
+    Every row is a shift.  The root starts from an all-unreached row,
+    ``D[w] = n``; every other vertex ``v``, in BFS order from the root,
+    from the finished row of a neighbour ``p`` one step closer to the root,
+    ``D[w] = d(p, w) + 1``.  With ``D`` at 0 on the new source, a BFS
+    lowers only the vertices ``y`` with ``D[y] > D[x] + 1`` (Ramalingam and
+    Reps' incremental shortest paths, for a source that moves one edge).
+    This is exact:
 
-    - at the start ``d(v, w) <= D[w] <= d(v, w) + 2``, as ``p`` and ``v``
-      are adjacent, and ``D[w]`` is exact where ``d(v, w) > d(p, w)``;
-    - every ``w`` with ``d(v, w) <= d(p, w)`` has a shortest path from
-      ``v`` made only of such vertices (for ``u`` on it, ``d(v, u) +
-      d(u, w) = d(v, w) <= d(p, w) <= d(p, u) + d(u, w)``), so in BFS
-      order each of them is lowered to its exact distance;
+    - from the unreached row, ``n`` is the largest ``D`` and ``D[x] < n - 1``
+      until every vertex is found, so the BFS is a plain one and its queue
+      holds every vertex in BFS order, the order of the other rows;
+    - from ``p``'s row, ``d(v, w) <= D[w] <= d(v, w) + 2``, and ``D[w]`` is
+      exact where ``d(v, w) > d(p, w)``.  Every other ``w`` has a shortest
+      path from ``v`` made only of such vertices (for ``u`` on it,
+      ``d(v, u) + d(u, w) = d(v, w) <= d(p, w) <= d(p, u) + d(u, w)``), so
+      in BFS order each of them is lowered to its exact distance;
     - ``D`` only decreases and ``D[x]`` never does along the queue, so once
       no vertex has ``D >= D[x] + 2`` none can be lowered later, and the
       BFS stops.  ``cnt[i]`` counts the vertices with ``D == i``: it starts
-      as ``p``'s sphere row shifted one place and moves one count down at
-      each lowering, and ``top``, the largest ``i`` it holds, gives the
-      stop.  On a complete graph the BFS stops after ``v``'s neighbours,
-      so a row costs ``O(n)``.
+      as ``p``'s sphere row shifted one place (the root's: 1 at 0, ``n - 1``
+      at ``n``) and moves one count down at each lowering, and ``top``, the
+      largest ``i`` it holds, gives the stop.  On a complete graph the BFS
+      stops after the source's neighbours, so a row costs ``O(n)``.
 
-    ``cnt`` less ``v`` itself is ``v``'s sphere row and ``top`` its
-    eccentricity, so the diameter is the longest sphere row.
-
-    ``v``'s orbit under ``g.automorphisms`` then shares its sphere row and
-    eccentricity, and as ``d(s(u), x) = d(u, s^-1(x))``, each new image
-    ``s(u)`` gathers the row of ``u`` through ``s^-1``.
+    ``cnt`` less the source is its sphere row and ``top`` its eccentricity,
+    so the diameter is the longest sphere row.  ``v``'s orbit under
+    ``g.automorphisms`` then shares its sphere row and eccentricity, and as
+    ``d(s(u), x) = d(u, s^-1(x))``, each new image ``s(u)`` gathers the row
+    of ``u`` through ``s^-1``.
     """
     n = g.n
     adj = g.adj
     up = steps[1:]
     reach = list(map(max, first, far_row))
     root = reach.index(min(reach))
-    rows = [None] * n
-    rows[0] = tuple(first)
-    rows[far] = tuple(far_row)
-    if rows[root] is None:
-        rows[root] = tuple(_bfs_row(g, root, steps))
-    depth = rows[root]
-    # sphere rows are padded to ecc(far) as they are made, and again at the
-    # end only if the diameter is longer: a padded copy of every row would
-    # leave the short originals as holes in the heap
+    # sphere rows are padded to ecc(far) as made, and again at the end only if
+    # the diameter is longer: padded copies would leave the rest as heap holes
     low = max(far_row)
+    rows = [None] * n
     ecc = [0] * n
     spheres = [None] * n
     wide = False  # a sphere of 256 or more vertices
-    D = list(first)  # one buffer, refilled for each row (n >= 2: a tuple)
+    D = [steps[n]] * n  # one buffer, refilled for each row; all unreached
+    cnt = [1] + [0] * (n - 1) + [n - 1]
+    top = n
     gens = [(s, itemgetter(*sorted(steps[:n], key=s.__getitem__))) for s in g.automorphisms]
-    for v in sorted(steps[:n], key=depth.__getitem__):
+    queue = order = [root]  # the root's BFS fills in the order of the rest
+    for v in order:
         if spheres[v] is not None:  # filled with its orbit
             continue
-        if rows[v] is None:
+        if v != root:  # start from a neighbour closer to the root
+            depth = rows[root]
             for p in adj[v]:
                 if depth[p] < depth[v]:
                     break
             D[:] = itemgetter(*rows[p])(up)
-            D[v] = 0
             cnt = [1, 1, *spheres[p]]
             cnt[2] -= 1
             top = ecc[p] + 1
             queue = [v]
-            for x in queue:
-                while not cnt[top]:
-                    top -= 1
-                dx = D[x]
-                if top < dx + 2:
-                    break
-                dy = up[dx]
-                for y in adj[x]:
-                    d = D[y]
-                    if d > dy:
-                        D[y] = dy
-                        cnt[d] -= 1
-                        cnt[dy] += 1
-                        queue.append(y)
+        D[v] = 0
+        for x in queue:
             while not cnt[top]:
                 top -= 1
-            rows[v] = tuple(D)
-        else:
-            top = max(rows[v])
-            cnt = [0] * ((top if top > low else low) + 1)
-            for d in rows[v]:
-                cnt[d] += 1
+            dx = D[x]
+            if top < dx + 2:
+                break
+            dy = up[dx]
+            for y in adj[x]:
+                d = D[y]
+                if d > dy:
+                    D[y] = dy
+                    cnt[d] -= 1
+                    cnt[dy] += 1
+                    queue.append(y)
+        rows[v] = tuple(D)
         ecc[v] = steps[top]
         row = cnt[1 : (top if top > low else low) + 1]
         if not wide:
@@ -368,8 +365,8 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     Vertex 0 reaches every vertex exactly when the graph is connected, so
     only its BFS row is checked.  The other rows come from ball growth when
     ``n <= 255`` and the diameter looks small against ``n + 2m`` (see
-    below), else from the shift kernel, which reuses the rows of 0 and of
-    a vertex farthest from it; either way the rows share one int object
+    below), else from the shift kernel, whose root the rows of 0 and of a
+    vertex farthest from it pick; either way the rows share one int object
     per distance, and the sphere rows come with them.
     """
     n = g.n
@@ -391,7 +388,8 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     # random_batch benchmark (shift about 2x slower there).  Otherwise the
     # row of a vertex x farthest from 0 gives ecc(x), at most the diameter
     # and close to it when 0 is peripheral, and 16 * ecc(x) <= n + 2m sends
-    # the graph to balls; the shift kernel reuses the rows of 0 and x.
+    # the graph to balls; otherwise the rows of 0 and x pick the shift
+    # kernel's root.
     size = n + sum(map(len, g.adj))
     if n <= 255 and 32 * max(first) <= size:
         return DistanceMatrix(*_ball_rows(g))
@@ -400,4 +398,4 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     if n <= 255 and 16 * max(far_row) <= size:
         return DistanceMatrix(*_ball_rows(g))
     _check_automorphisms(g)
-    return DistanceMatrix(*_shift_rows(g, steps, first, far, far_row))
+    return DistanceMatrix(*_shift_rows(g, steps, first, far_row))

@@ -433,6 +433,19 @@ class TestAutomorphisms:
             built = build_graph(n, itertools.combinations(range(n), 2))
             assert g.adj == built.adj
 
+    def test_multipartite_adjacency_equals_build_graph(self):
+        # every list of 2 to 4 part sizes from 1 to 5, from the edge list
+        # that joins each pair of vertices in different parts
+        for k in (2, 3, 4):
+            for sizes in itertools.product(range(1, 6), repeat=k):
+                g, roles = generate(FamilySpec("multipartite", sizes))
+                part = [p for p, m in enumerate(sizes) for _ in range(m)]
+                n = len(part)
+                pairs = itertools.combinations(range(n), 2)
+                edges = [(u, v) for u, v in pairs if part[u] != part[v]]
+                assert g.adj == build_graph(n, edges).adj
+                assert roles == tuple(("part", p, part[:v].count(p)) for v, p in enumerate(part))
+
     @pytest.mark.parametrize("text", ["path:5", "cycle:6", "complete:4", "grid:3x3"])
     def test_equality_hash_and_repr_ignore_automorphisms(self, text):
         g, _ = generate(parse_family_spec(text))

@@ -258,12 +258,12 @@ def _bfs_rows(g):
 
 
 def _shift(g):
-    """The shift kernel on ``g``, from the rows of 0 and a vertex farthest
-    from it, as ``all_pairs_distances`` calls it."""
+    """The shift kernel on ``g``, with its root picked by the rows of 0 and
+    a vertex farthest from it, as ``all_pairs_distances`` calls it."""
     steps = list(range(g.n + 1))
     first = graphs._bfs_row(g, 0, steps)
     far = first.index(max(first))
-    return graphs._shift_rows(g, steps, first, far, graphs._bfs_row(g, far, steps))
+    return graphs._shift_rows(g, steps, first, graphs._bfs_row(g, far, steps))
 
 
 def _shift_rows(g):
@@ -551,12 +551,10 @@ class TestKernelSelection:
     def test_bfs(self, monkeypatch, spec):
         assert _kernel(monkeypatch, generate(parse_family_spec(spec))[0]) == "bfs"
 
-    @pytest.mark.parametrize("spec", ["cycle:120", "petersen", "path:200", "path:600"])
-    def test_full_bfs_only_from_0_far_and_root(self, monkeypatch, spec):
-        # a full BFS row is taken from vertex 0, then from the first vertex
-        # farthest from it, and, when the shift kernel runs, from the root,
-        # which minimises the larger of the two distances
-        g = generate(parse_family_spec(spec))[0]
+    @staticmethod
+    def _bfs_sources(monkeypatch, g):
+        """The sources of the full BFS rows ``all_pairs_distances`` takes on
+        ``g``, after checking its rows against a BFS from every vertex."""
         want = _bfs_rows(g)
         sources = []
         real = graphs._bfs_row
@@ -564,19 +562,56 @@ class TestKernelSelection:
             graphs, "_bfs_row", lambda g, v, steps: sources.append(v) or real(g, v, steps)
         )
         assert [list(row) for row in all_pairs_distances(g).dist] == want
-        far = want[0].index(max(want[0]))
-        reach = list(map(max, want[0], want[far]))
-        root = reach.index(min(reach))
-        assert sources == ([0, far] if spec == "petersen" else [0, far, root])
+        return sources
+
+    @pytest.mark.parametrize("spec", ["cycle:120", "petersen", "path:200", "path:600"])
+    def test_full_bfs_only_from_0_and_far(self, monkeypatch, spec):
+        # a full BFS row is taken from vertex 0, then from the first vertex
+        # farthest from it; the shift kernel's root, which minimises the
+        # larger of the two distances, shifts from an all-unreached row
+        g = generate(parse_family_spec(spec))[0]
+        first = graphs._bfs_row(g, 0, list(range(g.n + 1)))
+        far = first.index(max(first))
+        assert self._bfs_sources(monkeypatch, g) == [0, far]
+
+    def test_ball_growth_at_32_times_ecc_0(self, monkeypatch):
+        # the star K_{1,9} centred at 0 plus the edges (2, 3) and (4, 5):
+        # n + 2m = 32 = 32 * ecc(0), so ball growth takes it at once
+        g = build_graph(10, [(0, v) for v in range(1, 10)] + [(2, 3), (4, 5)])
+        assert self._bfs_sources(monkeypatch, g) == [0]
+
+    def test_ball_growth_at_16_times_ecc_far(self, monkeypatch):
+        # the same star centred at 1, so that 0 is a leaf: 32 * ecc(0) = 64
+        # > n + 2m = 32, and the first vertex farthest from 0, vertex 2,
+        # has 16 * ecc(2) = 32
+        edges = [(1, v) for v in range(10) if v != 1] + [(2, 3), (4, 5)]
+        assert _kernel(monkeypatch, build_graph(10, edges)) == "balls"
 
     @pytest.mark.parametrize("n", [256, 600])
     def test_complete_graph_row_reads_its_own_adjacency_only(self, n):
         # the BFS of each row stops after the new source's neighbours, so a
-        # row costs O(n): the full BFS rows of 0, x and the root read n lists
-        # each, and every other row reads its own list twice (parent, then
-        # lowering)
+        # row costs O(n): the full BFS rows of 0 and x stop once the first
+        # list read finds every vertex, and every row reads its own list
+        # twice (parent, then lowering), the root's once
         g = generate(FamilySpec("complete", (n,)))[0]
         assert _adjacency_reads(g) <= 5 * n
+
+    @pytest.mark.parametrize(
+        "spec,reads", [("cycle:120", 7494), ("prism:40", 3391), ("complete:256", 513)]
+    )
+    def test_exact_adjacency_reads(self, spec, reads):
+        # each row's BFS stops once no vertex has D >= D[x] + 2; a stop one
+        # level later reads more lists on cycles and prisms
+        assert _adjacency_reads(generate(parse_family_spec(spec))[0]) == reads
+
+    @pytest.mark.parametrize("spec,reads", [("complete:300", 1), ("path:50", 49)])
+    def test_bfs_row_stops_once_every_vertex_is_found(self, spec, reads):
+        # from 0, complete:300 finds every vertex at its first list, path:50
+        # at its 49th
+        g = generate(parse_family_spec(spec))[0]
+        counted = graphs.Graph(g.n, _CountedAdj(g.adj))
+        assert graphs._bfs_row(counted, 0, list(range(g.n + 1))) == _bfs_rows(g)[0]
+        assert counted.adj.reads == reads
 
     @pytest.mark.parametrize("n", [301, 600])
     def test_path_rows_lower_only_the_far_side(self, n):
