@@ -11,8 +11,10 @@ rank constructions and tests all agree on which vertex is which:
   builder serves ``product``, grids (``path(m) x path(n)``) and prisms
   (``cycle(n) x path(2)``), which keep their own role tags;
 * ``Graph.automorphisms``: reflection (paths), rotation and reflection
-  (cycles), rotation and swap of 0 and 1 (complete), each factor's lifted
-  plus the swap of equal factor specs (products); other kinds carry none.
+  (cycles), rotation and swap of 0 and 1 (complete), a rotation inside
+  every part and a turn of each part onto the next part of its size
+  (multipartite), each factor's lifted plus the swap of equal factor specs
+  (products); other kinds carry none.
 
 Each kind is one ``_Kind`` record in ``_KINDS``: its parameter separator
 (None for Petersen), parameter count (exact, or at least), least parameter
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, pairwise
 from math import prod
 from typing import Callable, NamedTuple
 
@@ -211,10 +213,20 @@ def _symmetric(g: Graph, *gens) -> Graph:
 
 def _multipartite(*sizes):
     r = tuple(range(sum(sizes)))  # no edge list: build_graph's takes 10x the memory
-    parts = pairwise(accumulate(sizes, initial=0))
+    parts = list(pairwise(accumulate(sizes, initial=0)))
     adj = tuple(row for a, b in parts for row in [r[:a] + r[b:]] * (b - a))
     roles = tuple(("part", p, j) for p, m in enumerate(sizes) for j in range(m))
-    return Graph(len(r), adj), roles
+    # spin rotates inside every part; turn sends each part onto the next part
+    # of its size, the last onto the first
+    blocks = [r[a:b] for a, b in parts]
+    same: dict = {}
+    for p, m in enumerate(sizes):
+        same.setdefault(m, []).append(p)
+    after = {p: q for ps in same.values() for p, q in zip(ps, ps[1:] + ps[:1])}
+    spin = tuple(chain.from_iterable(b[1:] + b[:1] for b in blocks))
+    turn = tuple(chain.from_iterable(blocks[after[p]] for p in range(len(sizes))))
+    gens = [s for s in (spin, turn) if s != r]
+    return _symmetric(Graph(len(r), adj), *gens), roles
 
 
 def _product_of(sa: FamilySpec, sb: FamilySpec):

@@ -33,11 +33,13 @@ per vertex and count of labels used.  The search prunes by
   vertex at equal distance, so two same-label twins can never separate;
 * pair watching: for each unordered pair that could ever collide, the
   search keeps per counted class one fixed-width field whose balanced
-  digits are the running count differences, one digit per distance, and
-  kills a branch as soon as the last vertex able to separate a pair is
-  placed while that field is zero on every class.  The fields of one class
-  are packed into a single integer, so placing a vertex is one big-int add
-  and the pairs it completes are checked with one zero-field test;
+  digits are the running count differences, one digit per distance in a
+  radix that fits that distance's largest sphere, and kills a branch as
+  soon as the last vertex able to separate a pair is placed while that
+  field is zero on every class.  The fields of one class are packed into
+  a single integer, so placing a vertex is one big-int add and the pairs
+  it completes are checked with one zero-field test.  Each depth keeps
+  its own integers, so taking a vertex back costs nothing;
 * red-set look-ahead: only reds change a field, so once the last red of a
   size is placed every field is final, and the red-set search tests the
   whole integer for a zero field at once instead of walking the forced
@@ -66,8 +68,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .graphs import Graph, DistanceMatrix, all_pairs_distances
 from .strings_codes import code_table, first_collision, is_distinguishing, string_table
@@ -178,13 +181,15 @@ class IdIndexCertificate:
 
 # refuse a watcher of more than this many (pair, vertex) entries, the fields
 # of the n packed deltas a search may keep, at most 72 bytes each (below);
-# cycle:120, watching every pair, needs 856,800
+# a search's per-depth states hold at most one new packed integer per depth,
+# so at most as many fields again; cycle:120, watching every pair, needs
+# 856,800
 _MAX_WATCH_ENTRIES = 4_000_000
 
 # keep each vertex's packed delta after its first use only while one field
 # takes at most this many bytes, which keeps a watcher at the limit above
 # within 288 MB once all n are kept; wider fields are packed each time their
-# vertex takes a counted label or gives it back
+# vertex takes a counted label
 _PRECOMPUTE_MAX_FIELD_BYTES = 72
 
 
@@ -223,24 +228,25 @@ class _PairWatcher:
     complete pair's fields sum to zero over all classes, so a search may
     leave class 0 uncounted.  Per counted class ``c`` the search keeps one
     integer with one ``width``-bit field per pair, SWAR style: pair ``p``'s
-    field holds ``bias`` plus the number whose digit ``i-1`` in base ``S+1``
-    is N_i(u, c) - N_i(v, c), where ``S`` is the largest sphere, the largest
-    entry of ``dm.spheres``.  Each digit lies in ``[-S, S]``, and a number
-    with such digits is 0 only if every digit is, so a field equals
-    ``bias`` exactly when the pair has the same counts on ``c``.  With
-    ``d`` digits (the diameter) the number lies in ``[-bias, bias]`` for
-    ``bias = (S+1)^d - 1``, so a field stays in ``[0, 2 bias]`` and no add
-    or subtract reaches its neighbour; a guard bit on top, rounded up to
-    whole bytes, keeps the zero test exact.
+    field holds ``bias`` plus the mixed-radix number whose digit ``i-1`` is
+    N_i(u, c) - N_i(v, c) in radix ``R_i = S_i + 1``, where ``S_i`` is the
+    largest sphere at distance ``i``, the column maximum of ``dm.spheres``.
+    Digit ``i-1`` has place value ``P_i = R_1 ... R_(i-1)`` and lies in
+    ``[-S_i, S_i]``.  Since ``S_1 P_1 + ... + S_(i-1) P_(i-1) = P_i - 1``,
+    the top nonzero digit outweighs all below it, so the number is 0 only
+    if every digit is, and a field equals ``bias`` exactly when the pair
+    has the same counts on ``c``.  With ``d`` digits (the diameter) the
+    number lies in ``[-bias, bias]`` for ``bias = R_1 ... R_d - 1``, so a
+    field stays in ``[0, 2 bias]`` and no add reaches its neighbour; a
+    guard bit on top, rounded up to whole bytes, keeps the zero test exact.
 
     ``_Deltas.pack(w)`` is the change of every field when ``w`` joins a
-    class, ``(S+1)^(d(u,w)-1) - (S+1)^(d(v,w)-1)`` per pair with
-    ``(S+1)^-1`` read as 0, since no vertex counts itself: placing ``w`` is
-    one add, taking it back one subtract.  ``delta_of(w)`` gives it: kept in
-    a ``_Deltas`` memo after its first use, or packed at each use when
-    fields are wider than ``_PRECOMPUTE_MAX_FIELD_BYTES``.  Pairs are
-    numbered by the last vertex that tells their endpoints apart, so the
-    pairs complete once ``w`` is placed form one field range, and
+    class, ``P_d(u,w) - P_d(v,w)`` per pair with ``P_0`` read as 0, since no
+    vertex counts itself: placing ``w`` is one add.  ``delta_of(w)`` gives
+    it: kept in a ``_Deltas`` memo after its first use, or packed at each
+    use when fields are wider than ``_PRECOMPUTE_MAX_FIELD_BYTES``.  Pairs
+    are numbered by the last vertex that tells their endpoints apart, so
+    the pairs complete once ``w`` is placed form one field range, and
     ``finalize[w]`` holds its shift and masks.
 
     The red-set look-ahead needs neither a shift nor a mask per vertex.
@@ -297,13 +303,14 @@ class _PairWatcher:
         u_at = itemgetter(*(u for u, _ in self.pairs), 0, 0)
         v_at = itemgetter(*(v for _, v in self.pairs), 0, 0)
 
-        base = max(max(row, default=0) for row in set(dm.spheres)) + 1
-        bias = self.bias = base**dm.diameter - 1
+        # digit i-1 counts distance i, in radix S_i + 1 for S_i the largest
+        # sphere at distance i; place[i] is digit i's place value
+        radix = [max(col) + 1 for col in zip(*set(dm.spheres))]
+        place = list(accumulate(radix, mul, initial=1))
+        bias = self.bias = place.pop() - 1
         size = (2 * bias).bit_length() // 8 + 1  # bytes, guard bit included
         width = self.width = 8 * size
-        chunk = [bytes(size)] + [
-            (base**i).to_bytes(size, "little") for i in range(dm.diameter)
-        ]
+        chunk = [bytes(size)] + [p.to_bytes(size, "little") for p in place]
 
         def fields(m: int) -> tuple[int, int, int]:
             """The bias, guard bits and low bits of ``m`` fields."""
@@ -348,23 +355,21 @@ class _PairWatcher:
         nodes = start = last = 0
         for level, counted in levels:
             last, start = nodes - start, nodes
-            # packed[c - 1]: every pair's field for class c
-            packed = [bias_all] * counted
+            # at[w][c - 1]: every pair's field for class c once vertices
+            # 0..w-1 are placed; a counted label changes a copy, so taking a
+            # vertex back just returns to the list of its depth
+            at = [None] * n
+            at[0] = [bias_all] * counted
             assign = [-1] * n
             # options[w][used]: rule's tuple for vertex w, built on first use
             options = [{} for _ in range(n)]
 
             # pending[w]: an iterator over the options of vertex w not tried
-            # yet; assign[w] is the label w holds, -1 once it is taken back
+            # yet; assign[w] is the label w holds while w is on the path
             pending = [None] * n
             pending[0] = iter(rule(n, level, 0, 0))
             w = 0
             while w >= 0:
-                c = assign[w]
-                if c >= 0:
-                    assign[w] = -1
-                    if c:
-                        packed[c - 1] -= delta_of(w)
                 option = next(pending[w], None)
                 if option is None:
                     w -= 1
@@ -378,7 +383,9 @@ class _PairWatcher:
                     if nodes > max_nodes:
                         return level, None, nodes, last
                     assign[w] = c
+                    packed = at[w]
                     if c:
+                        packed = packed.copy()
                         packed[c - 1] += delta_of(w)
                     # field ^ bias is zero exactly on a pair equal on the
                     # class, and its guard bit is clear; subtracting the low
@@ -397,6 +404,7 @@ class _PairWatcher:
                     if w == n - 1:
                         return level, assign, nodes, last
                     w += 1
+                    at[w] = packed
                     cache = options[w]
                     opts = cache.get(used)
                     if opts is None:

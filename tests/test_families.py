@@ -366,6 +366,9 @@ class TestAutomorphisms:
         *(f"path:{n}" for n in range(1, 51)),
         *(f"cycle:{n}" for n in range(3, 51)),
         *(f"complete:{n}" for n in range(1, 31)),
+        # one part, equal parts apart and together, all parts of one vertex
+        "multipartite:1,5", "multipartite:3,2,3", "multipartite:2,2,3,2",
+        "multipartite:1,1,1,1", "multipartite:4,1,4,1,2",
         *PRODUCTS,
     ]
 
@@ -398,6 +401,11 @@ class TestAutomorphisms:
             # cell, inner cells
             ("grid:3x4", 4),
             ("product:(product:(path:2)x(path:2))x(product:(path:2)x(path:2))", 1),
+            # one orbit per part size
+            ("multipartite:2,3", 2),
+            ("multipartite:3,2,3", 2),
+            ("multipartite:1,1,1,1", 1),
+            ("multipartite:4,1,4,1,2", 3),
         ],
     )
     def test_orbits(self, text, orbits):
@@ -418,7 +426,7 @@ class TestAutomorphisms:
         assert len(group) == 24
 
     @pytest.mark.parametrize(
-        "text", ["multipartite:2,3", "petersen", "caterpillar:2,0,3"]
+        "text", ["petersen", "caterpillar:2,0,3"]
     )
     def test_other_kinds_carry_none(self, text):
         assert generate(parse_family_spec(text))[0].automorphisms == ()

@@ -408,6 +408,7 @@ class TestOrbitRows:
         "grid:5x5", "prism:3", "prism:8", "product:(cycle:5)x(cycle:5)",
         "product:(complete:4)x(complete:5)", "product:(path:3)x(cycle:6)",
         "product:(product:(path:2)x(path:3))x(product:(path:2)x(path:3))",
+        "multipartite:1,5", "multipartite:3,2,3", "multipartite:1,1,1",
     ]
 
     @staticmethod
@@ -425,7 +426,11 @@ class TestOrbitRows:
         assert all_pairs_distances(g) == all_pairs_distances(Graph(g.n, g.adj))
 
     @pytest.mark.parametrize(
-        "spec", ["path:600", "cycle:120", "complete:300", "prism:40", "grid:12x30"]
+        "spec",
+        [
+            "path:600", "cycle:120", "complete:300", "prism:40", "grid:12x30",
+            "multipartite:150,120,150",
+        ],
     )
     def test_large_against_the_bare_adjacency(self, spec):
         g = generate(parse_family_spec(spec))[0]

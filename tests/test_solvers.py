@@ -480,7 +480,7 @@ class TestFirstUsePacking:
             ("cycle:120", 4),
             # witness 0^132 1 0^9 11
             ("grid:12x12", 3),
-            # fields of 119 bytes: packed at placement, and only the last
+            # fields of 97 bytes: packed at placement, and only the last
             # vertex ever takes class 1
             ("path:600", 1),
         ],
@@ -489,6 +489,17 @@ class TestFirstUsePacking:
         cert = id_index_exact(graph_for(spec))
         assert len(packs) == packed
         assert {v for v, c in enumerate(cert.partition.assignment) if c} <= set(packs)
+
+    @pytest.mark.parametrize(
+        "spec, packed",
+        [("petersen", 51), ("product:(petersen)x(path:2)", 2_926), ("prism:8", 22)],
+    )
+    def test_wide_path_packs_once_per_counted_placement(self, monkeypatch, packs, spec, packed):
+        # a placement is never taken back by a subtract, so packing each
+        # delta at use costs one pack per counted placement
+        monkeypatch.setattr(solvers, "_PRECOMPUTE_MAX_FIELD_BYTES", 0)
+        id_index_exact(graph_for(spec))
+        assert len(packs) == packed
 
     def test_each_narrow_delta_is_packed_once(self, packs):
         for g in random_corpus(200) + [graph_for(t) for t in ["petersen", "prism:8"]]:
@@ -524,8 +535,8 @@ class TestFirstUsePacking:
 
 class TestPackedFields:
     """White box: the packed integer of a class holds, in pair ``p``'s
-    field, ``bias`` plus the pair's count differences as base-``(S+1)``
-    digits."""
+    field, ``bias`` plus the pair's count differences as mixed-radix
+    digits, distance ``i`` in radix ``S_i + 1``."""
 
     @pytest.mark.parametrize("narrow", [True, False])
     def test_fields_decode_to_count_differences(self, monkeypatch, narrow):
@@ -536,10 +547,11 @@ class TestPackedFields:
             for g in all_connected_graphs(n):
                 dist = floyd_warshall(g)
                 diameter = max(map(max, dist))
-                largest_sphere = max(
-                    row.count(i) for row in dist for i in range(1, diameter + 1)
-                )
-                base = largest_sphere + 1
+                # digit i-1 (distance i) in radix S_i + 1, for S_i the
+                # largest sphere at distance i
+                place = [1]
+                for i in range(1, diameter + 1):
+                    place.append(place[-1] * (max(row.count(i) for row in dist) + 1))
                 dm = all_pairs_distances(g)
                 # a constant key watches every non-twin pair
                 tc = tuplet_classes(g)
@@ -552,7 +564,7 @@ class TestPackedFields:
                 memo = delta_of.__self__
                 assert delta_of == (memo.__getitem__ if narrow else memo.pack)
                 bias, width = watcher.bias, watcher.width
-                assert bias == base**diameter - 1
+                assert bias == place[diameter] - 1
                 assert width > (2 * bias).bit_length()  # a guard bit on top
                 placed = set()
                 for _ in range(2):
@@ -573,13 +585,31 @@ class TestPackedFields:
                             field = y >> p * width & ((1 << width) - 1)
                             assert 0 <= field <= 2 * bias
                             assert field - bias == sum(
-                                (counts[u][i] - counts[v][i]) * base ** (i - 1)
+                                (counts[u][i] - counts[v][i]) * place[i - 1]
                                 for i in range(1, diameter + 1)
                             )
                         assert y >> len(watcher.pairs) * width == 0
                 # the memo keeps what it packed; the wide path keeps nothing
                 assert all(memo[w] == memo.pack(w) for w in memo)
                 assert set(memo) == (placed if narrow else set())
+
+    @pytest.mark.parametrize(
+        "spec, width",
+        [
+            # spheres (5, 10, 10, 5, 1): radices 6, 11, 11, 6, 2 where one
+            # base of 11 took 24 bits
+            ("product:(product:(product:(product:(path:2)x(path:2))x(path:2))x(path:2))"
+             "x(path:2)", 16),
+            # radix 3 to distance 299, radix 2 beyond, where one base of 3
+            # took 952 bits
+            ("path:600", 776),
+        ],
+        ids=["cube5", "path:600"],
+    )
+    def test_width(self, spec, width):
+        g = graph_for(spec)
+        dm = all_pairs_distances(g)
+        assert solvers._PairWatcher(dm, tuplet_classes(g), dm.spheres).width == width
 
 
 class TestWatcherLifetime:
