@@ -24,7 +24,9 @@ memo that holds at most about ``n`` texts plus one row's worth (see
 entries are decimal strings (they can exceed any fixed-width integer);
 ``verify --ranks`` reads
 ``{"ranks": [<decimal string>, ...]}`` and ``verify --coloring`` reads
-``{"red": [<id>, ...]}``; both lists take JSON integers or decimal strings.
+``{"red": [<id>, ...]}``; both lists take JSON integers or decimal strings
+``-?[0-9]+``, the grammar of family parameters, ``--budget-nodes`` and
+the ``--random`` values.
 
 Exit codes: 0 success, also when the reader closes stdout early (output
 stops quietly); 2 usage or input error (any other ``ValueError`` or
@@ -59,7 +61,9 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .constructions import construct_assignment, expected_id_index
-from .families import FamilySpec, generate, parse_family_spec, random_connected_graph
+from .families import (
+    FamilySpec, _is_integer, generate, parse_family_spec, random_connected_graph
+)
 from .graphs import Graph, all_pairs_distances, check_vertex_count, parse_edge_list
 from .solvers import (
     DEFAULT_MAX_NODES,
@@ -93,9 +97,9 @@ def _load_graph(args) -> tuple[Graph, FamilySpec | None]:
 
 
 def _node_budget(text: str) -> int:
-    """argparse type for --budget-nodes: an integer of at least 1."""
-    try:
-        value = int(text)
+    """argparse type for --budget-nodes: an integer ``-?[0-9]+`` of at least 1."""
+    try:  # int() refuses digits past the interpreter's limit, not lifted yet
+        value = int(text) if _is_integer(text) else 0
     except ValueError:
         value = 0
     if value < 1:
@@ -111,7 +115,7 @@ class _Decimal(tuple):
 
 def _read_ints(path: str, key: str, usage: str) -> tuple[int, ...]:
     """``obj[key]`` of the JSON object in ``path``: a list of integers or
-    decimal strings, read as integers.
+    decimal strings ``-?[0-9]+``, read as integers.
 
     Anything else, bools and floats included, raises ``_UsageError(usage)``;
     so does JSON nested past the interpreter's recursion limit.
@@ -121,12 +125,11 @@ def _read_ints(path: str, key: str, usage: str) -> tuple[int, ...]:
     except RecursionError:
         raise _UsageError(usage) from None
     items = obj.get(key) if isinstance(obj, dict) else None
-    if not isinstance(items, list) or not all(type(x) in (int, str) for x in items):
+    if not isinstance(items, list) or not all(
+        type(x) is int or (type(x) is str and _is_integer(x)) for x in items
+    ):
         raise _UsageError(usage)
-    try:
-        return tuple(map(int, items))
-    except ValueError:
-        raise _UsageError(usage) from None
+    return tuple(map(int, items))
 
 
 class _Texts(dict):
@@ -312,10 +315,9 @@ def _sweep_rows(args):
                 raise _UsageError(f"bad --random item {item!r}")
             if key in params:
                 raise _UsageError(f"repeated --random key {key!r}")
-            try:
-                params[key] = int(value)
-            except ValueError:
-                raise _UsageError(f"bad --random value {value!r}") from None
+            if not _is_integer(value):
+                raise _UsageError(f"bad --random value {value!r}")
+            params[key] = int(value)
         if not {"n", "count"} <= params.keys() <= {"n", "count", "seed"}:
             raise _UsageError("--random wants n=..,count=..[,seed=..]")
         n, count, seed = params["n"], params["count"], params.get("seed", 0)

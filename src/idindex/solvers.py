@@ -55,7 +55,7 @@ is zero exactly when the other ``k - 1`` are, and class 0 is the one the
 lexicographic order places most often.  The red-set search watches pairs
 whose sphere rows differ too, so it counts its one class, red, as label 1
 and leaves white as label 0.  A vertex's packed field change is built the
-first time a counted label is placed on it.
+first time a counted label is placed on it, and kept.
 
 ``_PairWatcher.search`` runs the levels of both searches in one loop with
 one node count, so each raises ``BudgetExceededError`` after ``max_nodes``
@@ -179,23 +179,17 @@ class IdIndexCertificate:
     note: str | None = None
 
 
-# refuse a watcher of more than this many (pair, vertex) entries, the fields
-# of the n packed deltas a search may keep, at most 72 bytes each (below);
-# a search's per-depth states hold at most one new packed integer per depth,
-# so at most as many fields again; cycle:120, watching every pair, needs
-# 856,800
+# refuse a watcher of more than this many (pair, vertex) entries, which
+# bounds the fields a search holds: the packed deltas it keeps, at most one
+# per vertex, and its per-depth states, at most one new packed integer per
+# depth, so n fields per pair for each; a field's bytes grow with the
+# diameter; cycle:120, watching every pair, needs 856,800
 _MAX_WATCH_ENTRIES = 4_000_000
-
-# keep each vertex's packed delta after its first use only while one field
-# takes at most this many bytes, which keeps a watcher at the limit above
-# within 288 MB once all n are kept; wider fields are packed each time their
-# vertex takes a counted label
-_PRECOMPUTE_MAX_FIELD_BYTES = 72
 
 
 class _Deltas(dict):
     """``deltas[w]``: every pair's field change when ``w`` joins a class,
-    packed by ``pack(w)`` on first use and kept.
+    packed on first use and kept.
 
     It holds the distance rows and the pairs' endpoint getters but not the
     watcher, so a watcher and its deltas form no reference cycle and are
@@ -209,15 +203,11 @@ class _Deltas(dict):
         self.dist, self.chunk, self.u_at, self.v_at = dist, chunk, u_at, v_at
 
     def __missing__(self, w: int) -> int:
-        delta = self[w] = self.pack(w)
-        return delta
-
-    def pack(self, w: int) -> int:
-        """Every pair's field change when ``w`` joins a class, packed."""
         row, chunk = self.dist[w], self.chunk
         up = b"".join(itemgetter(*self.u_at(row))(chunk))
         down = b"".join(itemgetter(*self.v_at(row))(chunk))
-        return int.from_bytes(up, "little") - int.from_bytes(down, "little")
+        delta = self[w] = int.from_bytes(up, "little") - int.from_bytes(down, "little")
+        return delta
 
 
 class _PairWatcher:
@@ -240,11 +230,10 @@ class _PairWatcher:
     field stays in ``[0, 2 bias]`` and no add reaches its neighbour; a
     guard bit on top, rounded up to whole bytes, keeps the zero test exact.
 
-    ``_Deltas.pack(w)`` is the change of every field when ``w`` joins a
-    class, ``P_d(u,w) - P_d(v,w)`` per pair with ``P_0`` read as 0, since no
-    vertex counts itself: placing ``w`` is one add.  ``delta_of(w)`` gives
-    it: kept in a ``_Deltas`` memo after its first use, or packed at each
-    use when fields are wider than ``_PRECOMPUTE_MAX_FIELD_BYTES``.  Pairs
+    ``delta_of(w)`` is the change of every field when ``w`` joins a class,
+    ``P_d(u,w) - P_d(v,w)`` per pair with ``P_0`` read as 0, since no vertex
+    counts itself: placing ``w`` is one add.  A ``_Deltas`` memo packs it
+    the first time ``w`` takes a counted label and keeps it.  Pairs
     are numbered by the last vertex that tells their endpoints apart, so
     the pairs complete once ``w`` is placed form one field range, and
     ``finalize[w]`` holds its shift and masks.
@@ -325,9 +314,7 @@ class _PairWatcher:
         for w, m in sorted(Counter(last for last, _, _ in pairs).items()):
             self.finalize[w] = (lo * width, (1 << m * width) - 1, *fields(m))
             lo += m
-        deltas = _Deltas(dist, chunk, u_at, v_at)
-        narrow = size <= _PRECOMPUTE_MAX_FIELD_BYTES
-        self.delta_of = deltas.__getitem__ if narrow else deltas.pack
+        self.delta_of = _Deltas(dist, chunk, u_at, v_at).__getitem__
 
     def search(self, rule, levels, max_nodes: int, look_ahead: bool = False):
         """First labelling in ``rule`` order that separates every pair, at

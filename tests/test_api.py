@@ -36,6 +36,7 @@ NOT_EXPORTED = [
     "partition_distinguishes",
     "multipartite_binomial_bound",
     "InvalidMultiplicitiesError",
+    "_PRECOMPUTE_MAX_FIELD_BYTES",
 ]
 
 

@@ -240,6 +240,14 @@ class TestCompute:
         assert code == 2 and out == ""
         assert "--budget-nodes" in err
 
+    @pytest.mark.parametrize("budget", ["1_0", "+3", " 5", "\u0665"])
+    def test_budget_outside_the_grammar_exits_2(self, capsys, budget):
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "petersen", "--budget-nodes", budget
+        )
+        assert (code, out) == (2, "")
+        assert f"--budget-nodes: expected an integer >= 1, got {budget!r}\n" in err
+
     def test_deep_search_prints_no_traceback(self, capsys):
         # a search deeper than the interpreter's recursion limit
         code, out, err = run_cli(capsys, "compute", "--family", "path:1100")
@@ -436,6 +444,23 @@ class TestVerify:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["1_0", "+3", " 4", "\u0665"])
+    @pytest.mark.parametrize(
+        "flag,key,usage",
+        [
+            ("--ranks", "ranks", "expected {'ranks': [<decimal string>, ...]}"),
+            ("--coloring", "red", "coloring file must look like {'red': [ids]}"),
+        ],
+        ids=["ranks", "coloring"],
+    )
+    def test_decimal_string_outside_the_grammar_exits_2(
+        self, capsys, tmp_path, flag, key, usage, value
+    ):
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps({key: ["1", value]}))
+        code, out, err = run_cli(capsys, "verify", "--family", "path:3", flag, str(path))
+        assert (code, out, err) == (2, "", f"error: {usage}\n")
 
     @pytest.mark.parametrize(
         "flag,usage",
@@ -905,6 +930,11 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--random", "n5,count=2")
         assert code == 2 and out == ""
         assert err == "error: bad --random item 'n5'\n"
+
+    @pytest.mark.parametrize("value", ["1_0", "+3", " 4", "\u0665"])
+    def test_random_value_outside_the_grammar_exits_2(self, capsys, value):
+        code, out, err = run_cli(capsys, "sweep", "--random", f"n=3,count={value}")
+        assert (code, out, err) == (2, "", f"error: bad --random value {value!r}\n")
 
     def test_random_key_given_twice(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--random", "n=3,count=2,seed=1, seed=2")

@@ -291,15 +291,6 @@ class TestSearchPins:
         assert list(cert.partition.assignment) == pin["partition"]
 
     def test_random_corpus(self):
-        self.check_random_corpus()
-
-    def test_random_corpus_packed_at_placement(self, monkeypatch):
-        # no delta precomputed: each is packed when its vertex is placed
-        monkeypatch.setattr(solvers, "_PRECOMPUTE_MAX_FIELD_BYTES", 0)
-        self.check_random_corpus()
-
-    @staticmethod
-    def check_random_corpus():
         pins = json.loads((GOLDEN / "search_random_corpus.json").read_text())
         for g, pin in zip(random_corpus(200), pins, strict=True):
             cert = id_index_exact(g)
@@ -436,11 +427,7 @@ class TestRedSetLookAhead:
     would fail: it finds the same red set at the same size, in no more
     nodes."""
 
-    @pytest.mark.parametrize("narrow", [True, False])
-    def test_same_labels_in_no_more_nodes(self, monkeypatch, narrow):
-        if not narrow:
-            # no delta precomputed: each is packed when its vertex is placed
-            monkeypatch.setattr(solvers, "_PRECOMPUTE_MAX_FIELD_BYTES", 0)
+    def test_same_labels_in_no_more_nodes(self):
         rule, budget = solvers._red_set_labels, solvers.DEFAULT_MAX_NODES
         pruned = 0
         for g in list(connected_corpus_up_to(5)) + random_corpus(200):
@@ -458,18 +445,18 @@ class TestRedSetLookAhead:
 
 class TestFirstUsePacking:
     """A vertex's packed delta is built the first time it takes a nonzero
-    label, and kept while fields are narrow."""
+    label, and kept."""
 
     @pytest.fixture
     def packs(self, monkeypatch):
         calls = []
-        pack = solvers._Deltas.pack
+        pack = solvers._Deltas.__missing__
 
         def spy(deltas, w):
             calls.append(w)
             return pack(deltas, w)
 
-        monkeypatch.setattr(solvers._Deltas, "pack", spy)
+        monkeypatch.setattr(solvers._Deltas, "__missing__", spy)
         return calls
 
     @pytest.mark.parametrize(
@@ -480,8 +467,7 @@ class TestFirstUsePacking:
             ("cycle:120", 4),
             # witness 0^132 1 0^9 11
             ("grid:12x12", 3),
-            # fields of 97 bytes: packed at placement, and only the last
-            # vertex ever takes class 1
+            # fields of 97 bytes: only the last vertex ever takes class 1
             ("path:600", 1),
         ],
     )
@@ -490,32 +476,22 @@ class TestFirstUsePacking:
         assert len(packs) == packed
         assert {v for v, c in enumerate(cert.partition.assignment) if c} <= set(packs)
 
-    @pytest.mark.parametrize(
-        "spec, packed",
-        [("petersen", 51), ("product:(petersen)x(path:2)", 2_926), ("prism:8", 22)],
-    )
-    def test_wide_path_packs_once_per_counted_placement(self, monkeypatch, packs, spec, packed):
-        # a placement is never taken back by a subtract, so packing each
-        # delta at use costs one pack per counted placement
-        monkeypatch.setattr(solvers, "_PRECOMPUTE_MAX_FIELD_BYTES", 0)
-        id_index_exact(graph_for(spec))
-        assert len(packs) == packed
-
-    def test_each_narrow_delta_is_packed_once(self, packs):
-        for g in random_corpus(200) + [graph_for(t) for t in ["petersen", "prism:8"]]:
+    def test_each_delta_is_packed_once(self, packs):
+        graphs = random_corpus(200) + [graph_for(t) for t in ["petersen", "prism:8"]]
+        # fields of 74 and 97 bytes; their red-set tables exceed the entry limit
+        wide = [graph_for(t) for t in ["grid:2x300", "path:600"]]
+        for g in graphs + wide:
             packs.clear()
             cert = id_index_exact(g)
             assert len(packs) == len(set(packs))
             assert {v for v, c in enumerate(cert.partition.assignment) if c} <= set(packs)
+        for g in graphs:
             packs.clear()
             red = id_number_exact(g)
             assert len(packs) == len(set(packs))
             assert (red or frozenset()) <= set(packs)
 
-    @pytest.mark.parametrize("narrow", [True, False])
-    def test_only_vertices_given_a_nonzero_label_are_packed(self, monkeypatch, packs, narrow):
-        if not narrow:
-            monkeypatch.setattr(solvers, "_PRECOMPUTE_MAX_FIELD_BYTES", 0)
+    def test_only_vertices_given_a_nonzero_label_are_packed(self, packs):
         rng = random.Random(11)
         for g in random_corpus(60):
             # vertices of `offered` try label 1, then 0; the others take 0
@@ -529,8 +505,7 @@ class TestFirstUsePacking:
             packs.clear()
             watcher.search(rule, [(0, 1)], 2_000)
             assert set(packs) <= offered
-            if narrow:
-                assert len(packs) == len(set(packs))
+            assert len(packs) == len(set(packs))
 
 
 class TestPackedFields:
@@ -538,10 +513,7 @@ class TestPackedFields:
     field, ``bias`` plus the pair's count differences as mixed-radix
     digits, distance ``i`` in radix ``S_i + 1``."""
 
-    @pytest.mark.parametrize("narrow", [True, False])
-    def test_fields_decode_to_count_differences(self, monkeypatch, narrow):
-        if not narrow:
-            monkeypatch.setattr(solvers, "_PRECOMPUTE_MAX_FIELD_BYTES", 0)
+    def test_fields_decode_to_count_differences(self):
         rng = random.Random(5)
         for n in range(2, 6):
             for g in all_connected_graphs(n):
@@ -562,7 +534,7 @@ class TestPackedFields:
                 ]
                 delta_of = watcher.delta_of
                 memo = delta_of.__self__
-                assert delta_of == (memo.__getitem__ if narrow else memo.pack)
+                assert delta_of == memo.__getitem__
                 bias, width = watcher.bias, watcher.width
                 assert bias == place[diameter] - 1
                 assert width > (2 * bias).bit_length()  # a guard bit on top
@@ -589,9 +561,9 @@ class TestPackedFields:
                                 for i in range(1, diameter + 1)
                             )
                         assert y >> len(watcher.pairs) * width == 0
-                # the memo keeps what it packed; the wide path keeps nothing
-                assert all(memo[w] == memo.pack(w) for w in memo)
-                assert set(memo) == (placed if narrow else set())
+                # the memo keeps what it packed, and packs the same again
+                assert all(d == memo.__missing__(w) for w, d in dict(memo).items())
+                assert set(memo) == placed
 
     @pytest.mark.parametrize(
         "spec, width",
@@ -740,15 +712,6 @@ class TestIdNumberExact:
         assert is_distinguishing(code_table(dm, red))
 
     def test_matches_reference(self):
-        self.check_matches_reference()
-
-    def test_matches_reference_packed_at_placement(self, monkeypatch):
-        # no delta precomputed: each is packed when its vertex is placed
-        monkeypatch.setattr(solvers, "_PRECOMPUTE_MAX_FIELD_BYTES", 0)
-        self.check_matches_reference()
-
-    @staticmethod
-    def check_matches_reference():
         graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
         for g in graphs + random_corpus(200):
             red = id_number_exact(g)
