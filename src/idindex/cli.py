@@ -25,8 +25,8 @@ entries are decimal strings (they can exceed any fixed-width integer);
 ``verify --ranks`` reads
 ``{"ranks": [<decimal string>, ...]}`` and ``verify --coloring`` reads
 ``{"red": [<id>, ...]}``; both lists take JSON integers or decimal strings
-``-?[0-9]+``, the grammar of family parameters, ``--budget-nodes`` and
-the ``--random`` values.
+``-?[0-9]+``, the grammar of family parameters, an edge list's ``# n=``,
+``--budget-nodes``, ``--seed``, ``--from``, ``--to`` and ``--random``.
 
 Exit codes: 0 success, also when the reader closes stdout early (output
 stops quietly); 2 usage or input error (any other ``ValueError`` or
@@ -58,13 +58,12 @@ import random
 import sys
 import time
 from contextlib import nullcontext
-from pathlib import Path
 
 from .constructions import construct_assignment, expected_id_index
-from .families import (
-    FamilySpec, _is_integer, generate, parse_family_spec, random_connected_graph
+from .families import FamilySpec, generate, parse_family_spec, random_connected_graph
+from .graphs import (
+    Graph, _is_integer, all_pairs_distances, check_vertex_count, parse_edge_list
 )
-from .graphs import Graph, all_pairs_distances, check_vertex_count, parse_edge_list
 from .solvers import (
     DEFAULT_MAX_NODES,
     BudgetExceededError,
@@ -91,9 +90,16 @@ def _load_graph(args) -> tuple[Graph, FamilySpec | None]:
         g, _ = generate(spec)
         return g, spec
     if getattr(args, "input", None):
-        text = Path(args.input).read_text()
-        return parse_edge_list(text), None
+        with open(args.input) as fh:
+            return parse_edge_list(fh.read()), None
     raise _UsageError("need --family or --input")
+
+
+def _integer(text: str) -> int:
+    """argparse type for --seed, --from and --to: an integer ``-?[0-9]+``."""
+    if not _is_integer(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def _node_budget(text: str) -> int:
@@ -121,7 +127,8 @@ def _read_ints(path: str, key: str, usage: str) -> tuple[int, ...]:
     so does JSON nested past the interpreter's recursion limit.
     """
     try:
-        obj = json.loads(Path(path).read_text())
+        with open(path) as fh:
+            obj = json.load(fh)
     except RecursionError:
         raise _UsageError(usage) from None
     items = obj.get(key) if isinstance(obj, dict) else None
@@ -411,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     search = p.add_mutually_exclusive_group()
     search.add_argument("--id-number", action="store_true", help="minimum red-set search")
     search.add_argument("--heuristic", action="store_true", help="greedy upper bound")
-    p.add_argument("--seed", type=int, help="seed for --heuristic splits")
+    p.add_argument("--seed", type=_integer, help="seed for --heuristic splits")
     add_budget(p)
     p.set_defaults(func=_cmd_compute)
 
@@ -439,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="family range or random batch, CSV output")
     batch = p.add_mutually_exclusive_group()
     batch.add_argument("--family", help=f"one of: {', '.join(_SWEEPABLE)}")
-    p.add_argument("--from", dest="from_", type=int, help="first parameter value")
-    p.add_argument("--to", type=int, help="last parameter value")
+    p.add_argument("--from", dest="from_", type=_integer, help="first parameter value")
+    p.add_argument("--to", type=_integer, help="last parameter value")
     batch.add_argument("--random", help="random batch: n=..,count=..[,seed=..]")
     p.add_argument("--csv", help="write the CSV here instead of stdout")
     add_budget(p)

@@ -33,12 +33,11 @@ code never has to re-derive the numbering conventions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, chain, pairwise
 from math import prod
-from typing import Callable, NamedTuple
 
-from .graphs import Graph, build_graph, check_vertex_count, is_connected
+from .graphs import Graph, _is_integer, build_graph, check_vertex_count, is_connected
 
 
 class InvalidSpecError(ValueError):
@@ -52,15 +51,14 @@ class InvalidSpecError(ValueError):
 _MAX_PRODUCT_DEPTH = 64
 
 
-class _Kind(NamedTuple):
-    """How one family kind is written, checked, counted and built."""
+class _Kind(
+    namedtuple("_Kind", "vertices build sep count at_least least", defaults=(",", 1, False, 1))
+):
+    """How one family kind is written, checked, counted and built: its
+    ``vertices`` and ``build`` callables, parameter separator, parameter
+    count (exact, or at least) and least parameter value."""
 
-    vertices: Callable
-    build: Callable
-    sep: str | None = ","
-    count: int = 1
-    at_least: bool = False
-    least: int = 1
+    __slots__ = ()
 
     def __str__(self) -> str:
         """The rule, as in ``1 parameter >= 3``."""
@@ -69,21 +67,21 @@ class _Kind(NamedTuple):
         return f"{amount} parameter{'s' * (self.count != 1)}{each}"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its parameters.
+class FamilySpec(namedtuple("FamilySpec", "kind params")):
+    """A family name plus its parameters, a named tuple.
 
     ``params`` holds integers, except for ``product`` where it holds the two
     factor specs.  Instances render back to the CLI grammar via ``label``.
-    Making one checks its parameters and its vertex count, at most
-    ``MAX_VERTICES``; no graph is built.
+    Making one, or unpickling one at protocol 2 or higher, checks its
+    parameters and its vertex count, at most ``MAX_VERTICES``; no graph is built.
     """
 
-    kind: str
-    params: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_vertex_count(vertex_count(self))
+    def __new__(cls, kind: str, params: tuple = ()):
+        spec = super().__new__(cls, kind, params)
+        check_vertex_count(vertex_count(spec))
+        return spec
 
     def label(self) -> str:
         if not self.params:
@@ -123,13 +121,6 @@ def parse_family_spec(text: str) -> FamilySpec:
     if not all(map(_is_integer, parts)):
         raise InvalidSpecError(f"non-integer parameter in {text!r}")
     return FamilySpec(kind, tuple(map(int, parts)))
-
-
-def _is_integer(part: str) -> bool:
-    """Whether ``part`` is ``-?[0-9]+``; ``int()`` also takes "+3", "1_0",
-    " 4" and non-ASCII digits, which the grammar refuses."""
-    digits = part.removeprefix("-")
-    return digits.isascii() and digits.isdigit()
 
 
 def _parse_factors(rest: str, depth: list[int]):

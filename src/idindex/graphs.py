@@ -17,7 +17,7 @@ same rows and count the spheres.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import reduce
 from operator import add, itemgetter, or_
 
@@ -77,19 +77,30 @@ def check_vertex_count(n: int) -> None:
         raise GraphError(f"graph needs {n} vertices, limit {MAX_VERTICES}")
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple undirected graph.
+class Graph(namedtuple("Graph", "n adj automorphisms", defaults=((),))):
+    """Immutable simple undirected graph, a named tuple.
 
-    ``adj[v]`` is the sorted tuple of neighbours of ``v``.  Instances should
-    be built through :func:`build_graph`, which validates simplicity.
-    ``automorphisms``, not compared or shown, generate a group of automorphisms
-    (image tuples, no identity); ``all_pairs_distances`` checks them before use.
+    ``n`` is the vertex count and ``adj[v]`` the sorted tuple of neighbours
+    of ``v``.  Instances should be built through :func:`build_graph`, which
+    validates simplicity.  ``automorphisms`` (default ``()``) generate a
+    group of automorphisms (image tuples, no identity);
+    ``all_pairs_distances`` checks them before use.  Equality, hash and
+    ``repr`` read ``(n, adj)`` only, and a graph equals only a ``Graph``.
     """
 
-    n: int
-    adj: tuple[tuple[int, ...], ...]
-    automorphisms: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self[:2] == other[:2]
+
+    def __ne__(self, other):  # tuple's own would compare automorphisms too
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n!r}, adj={self.adj!r})"
 
     def edges(self):
         """Yield each undirected edge once, as (u, v) with u < v."""
@@ -99,9 +110,8 @@ class Graph:
                     yield (u, v)
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs shortest-path distances of a connected graph.
+class DistanceMatrix(namedtuple("DistanceMatrix", "dist diameter spheres")):
+    """All-pairs shortest-path distances of a connected graph, a named tuple.
 
     ``dist[u][v]`` is the hop distance; ``diameter`` is the largest entry
     (0 for the one-vertex graph).  ``spheres[v][i - 1]`` counts the
@@ -109,9 +119,7 @@ class DistanceMatrix:
     sphere has 256 vertices or more.
     """
 
-    dist: tuple[tuple[int, ...], ...]
-    diameter: int
-    spheres: tuple[bytes | tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -139,13 +147,29 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n, tuple(tuple(sorted(s)) for s in neighbours))
 
 
+def _is_id(part: str) -> bool:
+    """Whether ``part`` is ``[0-9]+``, a vertex id."""
+    return part.isascii() and part.isdigit()
+
+
+def _is_integer(part: str) -> bool:
+    """Whether ``part`` is ``-?[0-9]+``; ``int()`` also takes "+3", "1_0",
+    " 4" and non-ASCII digits, which the grammar refuses."""
+    return _is_id(part.removeprefix("-"))
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
-    One ``u v`` pair per line; ``#`` starts a comment; an optional first
-    directive ``# n=<count>`` fixes the vertex count (otherwise it is one
-    more than the largest id mentioned).  Blank lines are ignored.
+    One ``u v`` pair of ids ``[0-9]+`` per line; ``#`` starts a comment; an
+    optional first directive ``# n=<count>``, the count ``-?[0-9]+``, fixes
+    the vertex count (otherwise it is one more than the largest id
+    mentioned).  Blank lines are ignored.  A line outside this grammar
+    raises ``ParseError``.
     """
+    # int() reads exactly [0-9]+ from a token of an ASCII text with no "+",
+    # "_" or "-"; only other texts check each id
+    checked = not text.isascii() or "+" in text or "_" in text or "-" in text
     explicit_n = None
     edges = []
     max_seen = -1
@@ -156,19 +180,19 @@ def parse_edge_list(text: str) -> Graph:
         if parts[0].startswith("#"):
             body = raw.strip()[1:].strip()
             if body.startswith("n=") and explicit_n is None and not edges:
+                if not _is_integer(body[2:]):
+                    raise ParseError(line_no, raw)
                 try:
                     explicit_n = int(body[2:])
-                except ValueError:
+                except ValueError:  # more digits than int() reads
                     raise ParseError(line_no, raw) from None
             continue
-        if len(parts) != 2:
+        if len(parts) != 2 or checked and not all(map(_is_id, parts)):
             raise ParseError(line_no, raw)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(line_no, raw) from None
-        if u < 0 or v < 0:
-            raise ParseError(line_no, raw)
         max_seen = max(max_seen, u, v)
         edges.append((u, v))
     if explicit_n is None:

@@ -66,8 +66,7 @@ budget.  Results are plain values; ``cli`` writes them as JSON.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate
 from math import comb
 from operator import itemgetter, mul
@@ -101,28 +100,28 @@ class InternalInvariantError(Exception):
 DEFAULT_MAX_NODES = 10_000_000
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Vertex partition in restricted-growth form.
+class Partition(namedtuple("Partition", "assignment k")):
+    """Vertex partition in restricted-growth form, a named tuple.
 
     ``assignment[v]`` is the class of vertex ``v``; class labels appear in
     first-use order starting from 0, and ``k`` is the number of classes.
+    Making one, or unpickling one at protocol 2 or higher, checks both.
     """
 
-    assignment: tuple[int, ...]
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.assignment:
+    def __new__(cls, assignment: tuple[int, ...], k: int):
+        if not assignment:
             raise ValueError("empty partition")
         mx = -1
-        for a in self.assignment:
+        for a in assignment:
             if a < 0 or a > mx + 1:
                 raise ValueError("assignment is not in restricted-growth form")
             if a == mx + 1:
                 mx = a
-        if self.k != mx + 1:
-            raise ValueError(f"k={self.k} but {mx + 1} classes are used")
+        if k != mx + 1:
+            raise ValueError(f"k={k} but {mx + 1} classes are used")
+        return super().__new__(cls, assignment, k)
 
 
 def to_restricted_growth(labels) -> Partition:
@@ -143,9 +142,9 @@ def certificate_ranks(p: Partition) -> tuple[int, ...]:
     return tuple(powers[c] for c in p.assignment)
 
 
-@dataclass(frozen=True)
-class InfeasibilityWitness:
-    """Certification that no partition with ``level`` classes identifies.
+class InfeasibilityWitness(namedtuple("InfeasibilityWitness", "level certified_by nodes")):
+    """Certification that no partition with ``level`` classes identifies,
+    a named tuple.
 
     ``certified_by`` is ``exhaustive-search`` (the level was searched to
     completion), ``tuplet-bound`` (some twin class is larger than
@@ -154,29 +153,25 @@ class InfeasibilityWitness:
     members; ``nodes`` is 0), or ``vacuous`` (``level`` is 0).
     """
 
-    level: int
-    certified_by: str
-    nodes: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdIndexCertificate:
-    """Result of ``id_index_exact``; ``greedy_upper_bound`` fills the same
-    fields with no infeasibility witness.
+class IdIndexCertificate(
+    namedtuple(
+        "IdIndexCertificate",
+        "k partition ranks strings lower_bound infeasibility nodes_searched note",
+        defaults=(None,),
+    )
+):
+    """Result of ``id_index_exact``, a named tuple; ``greedy_upper_bound``
+    fills the same fields with ``infeasibility`` None.
 
     ``lower_bound`` is the twin bound T, the largest twin class, even where
     the search started higher at the counting bound: the JSON
     ``lower_bound`` and the sweep columns report T.
     """
 
-    k: int
-    partition: Partition
-    ranks: tuple[int, ...]
-    strings: list[tuple[int, ...]]
-    lower_bound: int
-    infeasibility: InfeasibilityWitness | None
-    nodes_searched: int
-    note: str | None = None
+    __slots__ = ()
 
 
 # refuse a watcher of more than this many (pair, vertex) entries, which

@@ -20,27 +20,23 @@ rows the distance kernel counts.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class TupletClass:
-    """A maximal twin class; ``members`` are ascending, and ``kind`` is
-    'independent', 'clique', or None for singletons."""
+class TupletClass(namedtuple("TupletClass", "members kind")):
+    """A maximal twin class, a named tuple; ``members`` are ascending, and
+    ``kind`` is 'independent', 'clique', or None for singletons."""
 
-    members: tuple[int, ...]
-    kind: str | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TupletClasses:
-    """Partition of the vertices into maximal twin classes."""
+class TupletClasses(namedtuple("TupletClasses", "classes max_size")):
+    """Partition of the vertices into maximal twin classes, a named tuple:
+    the ``TupletClass`` records and the largest class size."""
 
-    classes: tuple[TupletClass, ...]
-    max_size: int
+    __slots__ = ()
 
 
 def tuplet_classes(g: Graph) -> TupletClasses:

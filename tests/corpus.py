@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 from idindex import Graph, build_graph, certificate_ranks, code_table, is_connected
 from idindex import all_pairs_distances, first_collision, is_distinguishing, string_table
@@ -93,8 +94,9 @@ def summed_strings(dist, ranks):
 
 
 def reference_parse_edge_list(text: str) -> Graph:
-    """``graphs.parse_edge_list`` as it was before it split each line
-    once: the reference its fuzz test compares against."""
+    """``graphs.parse_edge_list`` as it was before it split each line once,
+    with ids and the header count matched by regular expressions: the
+    reference its fuzz test compares against."""
     explicit_n = None
     edges = []
     max_seen = -1
@@ -105,20 +107,14 @@ def reference_parse_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("n=") and explicit_n is None and not edges:
-                try:
-                    explicit_n = int(body[2:])
-                except ValueError:
-                    raise ParseError(line_no, raw) from None
+                if not re.fullmatch("-?[0-9]+", body[2:]):
+                    raise ParseError(line_no, raw)
+                explicit_n = int(body[2:])
             continue
         parts = line.split()
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(re.fullmatch("[0-9]+", p) for p in parts):
             raise ParseError(line_no, raw)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(line_no, raw) from None
-        if u < 0 or v < 0:
-            raise ParseError(line_no, raw)
+        u, v = int(parts[0]), int(parts[1])
         max_seen = max(max_seen, u, v)
         edges.append((u, v))
     if explicit_n is None:

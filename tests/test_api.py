@@ -1,4 +1,11 @@
 import inspect
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import idindex
 import idindex.cli
@@ -111,3 +118,84 @@ def test_every_input_error_is_a_value_error():
     assert outside | {idindex.graphs.GraphError, idindex.cli._UsageError} <= set(errors)
     for error in set(errors) - outside:
         assert issubclass(error, ValueError), error.__qualname__
+
+
+def test_import_loads_no_heavy_module():
+    # -S, since a site module may preload typing and pathlib itself; records
+    # are named tuples, so no dataclass generates code at import
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import idindex.cli, sys; "
+        "print(*[m for m in ('dataclasses', 'typing', 'inspect', 'pathlib') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == []
+
+
+def _records():
+    """One instance of every public record, all from one cycle."""
+    spec = idindex.parse_family_spec("cycle:5")
+    g, _ = idindex.generate(spec)
+    cert = idindex.id_index_exact(g)
+    tc = idindex.tuplet_classes(g)
+    dm = idindex.all_pairs_distances(g)
+    return [g, dm, tc.classes[0], tc, cert.partition, cert.infeasibility, cert, spec]
+
+
+def test_records_are_immutable():
+    records = _records()
+    assert sorted(type(r).__name__ for r in records) == sorted(
+        ["Graph", "DistanceMatrix", "TupletClass", "TupletClasses", "Partition",
+         "InfeasibilityWitness", "IdIndexCertificate", "FamilySpec"]
+    )
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+
+def test_graph_equality_is_class_strict():
+    g, _ = idindex.generate(idindex.parse_family_spec("cycle:5"))
+    for other in (tuple(g), g[:2], list(g)):
+        assert g != other and other != g
+        assert not (g == other or other == g)
+    assert g == idindex.Graph(g.n, g.adj) and not g != idindex.Graph(g.n, g.adj)
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_pickled_family_graph_keeps_its_automorphisms(protocol):
+    g, _ = idindex.generate(idindex.parse_family_spec("cycle:5"))
+    back = pickle.loads(pickle.dumps(g, protocol))
+    assert type(back) is idindex.Graph and back == g
+    assert back.automorphisms == g.automorphisms != ()
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_family_spec_is_checked_when_unpickled(monkeypatch, protocol):
+    data = pickle.dumps(idindex.FamilySpec("path", (50,)), protocol)
+    assert pickle.loads(data) == idindex.FamilySpec("path", (50,))
+    monkeypatch.setattr(idindex.graphs, "MAX_VERTICES", 10)
+    with pytest.raises(idindex.graphs.GraphError, match="limit 10"):
+        pickle.loads(data)
+
+
+def test_no_validated_record_is_built_around_its_checks():
+    # _make and _replace build a named tuple without calling __new__
+    modules = (
+        idindex.cli,
+        idindex.constructions,
+        idindex.families,
+        idindex.graphs,
+        idindex.solvers,
+        idindex.strings_codes,
+        idindex.structure,
+    )
+    for module in modules:
+        source = inspect.getsource(module)
+        assert "._make(" not in source and "._replace(" not in source, module.__name__

@@ -248,6 +248,22 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert f"--budget-nodes: expected an integer >= 1, got {budget!r}\n" in err
 
+    @pytest.mark.parametrize("seed", ["+3", "1_0", " \u0663"])
+    def test_seed_outside_the_grammar_exits_2(self, capsys, seed):
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "path:4", "--heuristic", "--seed", seed
+        )
+        assert (code, out) == (2, "")
+        assert f"--seed: expected an integer, got {seed!r}\n" in err
+
+    @pytest.mark.parametrize("seed", ["0", "3", "-1", "007", "-012", "9" * 40])
+    def test_seed_in_the_grammar(self, capsys, seed):
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "path:4", "--heuristic", "--seed", seed
+        )
+        assert code == 0, err
+        assert cli._parser().parse_args(["compute", "--seed", seed]).seed == int(seed)
+
     def test_deep_search_prints_no_traceback(self, capsys):
         # a search deeper than the interpreter's recursion limit
         code, out, err = run_cli(capsys, "compute", "--family", "path:1100")
@@ -935,6 +951,29 @@ class TestSweep:
     def test_random_value_outside_the_grammar_exits_2(self, capsys, value):
         code, out, err = run_cli(capsys, "sweep", "--random", f"n=3,count={value}")
         assert (code, out, err) == (2, "", f"error: bad --random value {value!r}\n")
+
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    @pytest.mark.parametrize("value", ["+3", "1_0", " \u0663"])
+    def test_range_outside_the_grammar_exits_2(self, capsys, flag, value):
+        argv = ["sweep", "--family", "cycle", "--from", "3", "--to", "5"]
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"{flag}: expected an integer, got {value!r}\n" in err
+
+    @pytest.mark.parametrize("start, stop", [("03", "4"), ("3", "0004")])
+    def test_range_in_the_grammar(self, capsys, start, stop):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "cycle", "--from", start, "--to", stop
+        )
+        assert code == 0, err
+        rows = [row.split(",")[:2] for row in out.splitlines()[1:]]
+        assert rows == [["cycle", "3"], ["cycle", "4"]]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "-0", "012", "9" * 40])
+    def test_range_values_in_the_grammar_parse(self, value):
+        args = cli._parser().parse_args(["sweep", "--from", value, "--to", value])
+        assert args.from_ == args.to == int(value)
 
     def test_random_key_given_twice(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--random", "n=3,count=2,seed=1, seed=2")

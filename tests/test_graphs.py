@@ -106,6 +106,37 @@ class TestParseEdgeList:
         with pytest.raises(ParseError):
             parse_edge_list("-1 0\n")
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("+0 1\n", 1),
+            ("0 1\n1_0 2\n", 2),
+            ("0 1\n\n١ 2\n", 3),  # an Arabic-Indic one
+            ("# n=+3\n0 1\n", 1),
+            ("0 1\n1 -0\n", 2),
+            ("# n= 3\n0 1\n", 1),
+            ("# n=３\n0 1\n", 1),  # a full-width three
+        ],
+    )
+    def test_outside_the_integer_grammar(self, text, line_no):
+        # int() reads every one of these; ids are [0-9]+, a header -?[0-9]+
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert err.value.line_no == line_no
+
+    def test_leading_zeros_are_accepted(self):
+        assert parse_edge_list("03 1\n# n=x\n") == build_graph(4, [(3, 1)])
+        assert parse_edge_list("# n=05\n0 1\n").n == 5
+
+    @pytest.mark.parametrize("comment", ["# a_b + c - d", "# été ١"])
+    def test_any_comment_is_accepted(self, comment):
+        # such a comment makes the parser check each id; the ids still pass
+        assert parse_edge_list(f"{comment}\n0 1\n1 2\n") == build_graph(3, [(0, 1), (1, 2)])
+
+    def test_negative_header_is_an_empty_vertex_set(self):
+        with pytest.raises(EmptyInputError):
+            parse_edge_list("# n=-3\n")
+
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             parse_edge_list("# only a comment\n")
