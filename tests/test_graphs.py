@@ -124,13 +124,19 @@ class TestParseEdgeList:
             parse_edge_list(text)
         assert err.value.line_no == line_no
 
+    def test_id_longer_than_int_reads(self):
+        # CPython refuses int/str conversions past 4,300 digits by default
+        with pytest.raises(ParseError) as err:
+            parse_edge_list("0 1\n" + "9" * 5000 + " 1\n")
+        assert err.value.line_no == 2
+
     def test_leading_zeros_are_accepted(self):
         assert parse_edge_list("03 1\n# n=x\n") == build_graph(4, [(3, 1)])
         assert parse_edge_list("# n=05\n0 1\n").n == 5
 
     @pytest.mark.parametrize("comment", ["# a_b + c - d", "# été ١"])
     def test_any_comment_is_accepted(self, comment):
-        # such a comment makes the parser check each id; the ids still pass
+        # only ids and the header follow the grammar, not comment text
         assert parse_edge_list(f"{comment}\n0 1\n1 2\n") == build_graph(3, [(0, 1), (1, 2)])
 
     def test_negative_header_is_an_empty_vertex_set(self):
