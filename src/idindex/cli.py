@@ -51,7 +51,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import itertools
 import json
 import os
 import random
@@ -104,10 +103,7 @@ def _integer(text: str) -> int:
 
 def _node_budget(text: str) -> int:
     """argparse type for --budget-nodes: an integer ``-?[0-9]+`` of at least 1."""
-    try:  # int() refuses digits past the interpreter's limit, not lifted yet
-        value = int(text) if _is_integer(text) else 0
-    except ValueError:
-        value = 0
+    value = int(text) if _is_integer(text) else 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
@@ -338,16 +334,13 @@ def _sweep_rows(args):
         )
     if not args.family:
         raise _UsageError("need --family KIND with --from/--to, or --random")
-    if args.family not in _SWEEPABLE:
-        raise _UsageError(
-            f"sweepable kinds are {', '.join(_SWEEPABLE)}; got {args.family!r}"
-        )
     if args.from_ is None or args.to is None:
         raise _UsageError("family sweep needs --from and --to")
     if args.from_ > args.to:
         raise _UsageError("--from must not exceed --to")
     sizes = range(args.from_, args.to + 1)
-    params = itertools.product(sizes, sizes) if args.family == "grid" else zip(sizes)
+    # a generator, not itertools.product, which would hold both ranges
+    params = ((a, b) for a in sizes for b in sizes) if args.family == "grid" else zip(sizes)
     specs = [FamilySpec(args.family, p) for p in params]
     return "", ((s.kind, s.label().partition(":")[2], generate(s)[0], s) for s in specs)
 
@@ -445,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="family range or random batch, CSV output")
     batch = p.add_mutually_exclusive_group()
-    batch.add_argument("--family", help=f"one of: {', '.join(_SWEEPABLE)}")
+    batch.add_argument("--family", choices=_SWEEPABLE, help="family kind to sweep")
     p.add_argument("--from", dest="from_", type=_integer, help="first parameter value")
     p.add_argument("--to", type=_integer, help="last parameter value")
     batch.add_argument("--random", help="random batch: n=..,count=..[,seed=..]")
@@ -472,18 +465,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:  # argparse handles usage errors itself
-        return int(exc.code) if exc.code else 0
-    # rank values and string entries may have more decimal digits than the
-    # interpreter's int/str conversion limit; lift it for this call only
+    # integer flags, rank values and string entries may have more decimal
+    # digits than the interpreter's int/str conversion limit; lift it for
+    # this call only
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     # no command leaves cyclic garbage that grows with its work: pause the GC
     gc_enabled = gc.isenabled()
     gc.disable()
     try:
+        args = _parser().parse_args(argv)
         # Python sets stdout to None when the process starts with it closed;
         # refuse before any work, unless the output goes to a file
         json_path = vars(args).get("json")
@@ -495,6 +486,8 @@ def run(argv=None) -> int:
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()  # a reader that left shows here, not at exit
         return status
+    except SystemExit as exc:  # argparse handles usage errors itself
+        return int(exc.code) if exc.code else 0
     except BudgetExceededError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 3

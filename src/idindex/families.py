@@ -72,8 +72,8 @@ class FamilySpec(namedtuple("FamilySpec", "kind params")):
 
     ``params`` holds integers, except for ``product`` where it holds the two
     factor specs.  Instances render back to the CLI grammar via ``label``.
-    Making one, or unpickling one at protocol 2 or higher, checks its
-    parameters and its vertex count, at most ``MAX_VERTICES``; no graph is built.
+    Making, copying or unpickling one checks its parameters and its vertex
+    count, at most ``MAX_VERTICES``; no graph is built.
     """
 
     __slots__ = ()
@@ -82,6 +82,9 @@ class FamilySpec(namedtuple("FamilySpec", "kind params")):
         spec = super().__new__(cls, kind, params)
         check_vertex_count(vertex_count(spec))
         return spec
+
+    def __reduce__(self):  # at every pickle protocol, through __new__
+        return type(self), tuple(self)
 
     def label(self) -> str:
         if not self.params:

@@ -207,11 +207,9 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(n, edges)
 
 
-def _bfs_row(g: Graph, source: int, steps):
+def _bfs_row(g: Graph, source: int):
     """Distances from one source; -1 marks unreachable vertices.
 
-    ``steps`` is ``range(g.n + 1)`` as a list: a distance ``d`` is stored as
-    ``steps[d]``, so every row shares one int object per distance value.
     The queue is a list read while it grows, until it holds every vertex.
     """
     n = g.n
@@ -222,7 +220,7 @@ def _bfs_row(g: Graph, source: int, steps):
     for u in queue:
         if len(queue) == n:  # every vertex found
             break
-        du = steps[dist[u] + 1]
+        du = dist[u] + 1
         for v in adj[u]:
             if dist[v] < 0:
                 dist[v] = du
@@ -380,7 +378,7 @@ def _check_automorphisms(g: Graph) -> None:
 
 
 def is_connected(g: Graph) -> bool:
-    return -1 not in _bfs_row(g, 0, list(range(g.n + 1)))
+    return -1 not in _bfs_row(g, 0)
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
@@ -395,8 +393,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     per distance, and the sphere rows come with them.
     """
     n = g.n
-    steps = list(range(n + 1))
-    first = _bfs_row(g, 0, steps)
+    first = _bfs_row(g, 0)
     if -1 in first:
         raise DisconnectedError("no path from vertex 0 to some vertex")
     # ball growth costs n big-int reduces per unit of diameter; the shift
@@ -419,8 +416,9 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     if n <= 255 and 32 * max(first) <= size:
         return DistanceMatrix(*_ball_rows(g))
     far = first.index(max(first))
-    far_row = _bfs_row(g, far, steps)
+    far_row = _bfs_row(g, far)
     if n <= 255 and 16 * max(far_row) <= size:
         return DistanceMatrix(*_ball_rows(g))
     _check_automorphisms(g)
-    return DistanceMatrix(*_shift_rows(g, steps, first, far_row))
+    # steps[d] is d, so every row shares one int object per distance
+    return DistanceMatrix(*_shift_rows(g, list(range(n + 1)), first, far_row))

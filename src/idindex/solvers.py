@@ -41,11 +41,11 @@ per vertex and count of labels used.  The search prunes by
   it completes are checked with one zero-field test.  Each depth keeps
   its own integers, so taking a vertex back costs nothing;
 * red-set look-ahead: only reds change a field, so once the last red of a
-  size is placed every field is final, and the red-set search tests the
-  whole integer for a zero field at once instead of walking the forced
-  whites to each pair's last separator.  This is the resolving-set
-  argument (Slater 1975; Harary & Melter 1976): a pair that no red
-  separates keeps equal codes.
+  size is placed every field is final.  The red-set rule marks that
+  placement ``final``, and the search then tests the whole integer for a
+  zero field at once instead of walking the forced whites to each pair's
+  last separator.  This is the resolving-set argument (Slater 1975;
+  Harary & Melter 1976): a pair that no red separates keeps equal codes.
 
 Label 0 is never counted.  The partition search counts classes ``1..k-1``;
 class 0 is implied.  It watches only pairs with equal sphere rows, and
@@ -105,7 +105,7 @@ class Partition(namedtuple("Partition", "assignment k")):
 
     ``assignment[v]`` is the class of vertex ``v``; class labels appear in
     first-use order starting from 0, and ``k`` is the number of classes.
-    Making one, or unpickling one at protocol 2 or higher, checks both.
+    Making, copying or unpickling one checks both.
     """
 
     __slots__ = ()
@@ -122,6 +122,9 @@ class Partition(namedtuple("Partition", "assignment k")):
         if k != mx + 1:
             raise ValueError(f"k={k} but {mx + 1} classes are used")
         return super().__new__(cls, assignment, k)
+
+    def __reduce__(self):  # at every pickle protocol, through __new__
+        return type(self), tuple(self)
 
 
 def to_restricted_growth(labels) -> Partition:
@@ -233,14 +236,14 @@ class _PairWatcher:
     the pairs complete once ``w`` is placed form one field range, and
     ``finalize[w]`` holds its shift and masks.
 
-    The red-set look-ahead needs neither a shift nor a mask per vertex.
-    When the last red is placed at ``w``, every pair whose last separator
-    is below ``w`` has passed its ``finalize`` test on this branch, and no
-    vertex after its last separator changes its field.  So a zero field
-    anywhere in the integer belongs to a pair complete at ``w`` or still
-    open, and since no red follows, either fails: the test runs on the
-    whole integer, with the masks ``bias_all``, ``high_all`` and
-    ``low_all`` of every field.
+    The red-set look-ahead, on the placement its rule marks ``final``,
+    needs neither a shift nor a mask per vertex.  When the last red is
+    placed at ``w``, every pair whose last separator is below ``w`` has
+    passed its ``finalize`` test on this branch, and no vertex after its
+    last separator changes its field.  So a zero field anywhere in the
+    integer belongs to a pair complete at ``w`` or still open, and since
+    no red follows, either fails: the test runs on the whole integer, with
+    the masks ``bias_all``, ``high_all`` and ``low_all`` of every field.
     """
 
     def __init__(self, dm: DistanceMatrix, tc: TupletClasses, key):
@@ -311,23 +314,22 @@ class _PairWatcher:
             lo += m
         self.delta_of = _Deltas(dist, chunk, u_at, v_at).__getitem__
 
-    def search(self, rule, levels, max_nodes: int, look_ahead: bool = False):
+    def search(self, rule, levels, max_nodes: int):
         """First labelling in ``rule`` order that separates every pair, at
         the first of the ``(level, counted)`` pairs ``levels`` that has one.
 
         ``rule(n, level, w, used)`` gives vertex ``w``'s ``(label, used
-        after)`` options as a tuple in try order, built once per level and
-        ``(w, used)``.  Labels ``1..counted`` each count one class; label 0
-        adds nothing (see the class docstring).  Returns ``(level, labels,
-        nodes, last)``: ``nodes`` counts over all levels, ``last`` over the
-        level before ``level``.  ``labels`` is None if ``nodes > max_nodes``,
-        and ``level`` too if no level has one.
+        after, final)`` options as a tuple in try order, built once per
+        level and ``(w, used)``.  Labels ``1..counted`` each count one
+        class; label 0 adds nothing (see the class docstring).  Returns
+        ``(level, labels, nodes, last)``: ``nodes`` counts over all levels,
+        ``last`` over the level before ``level``.  ``labels`` is None if
+        ``nodes > max_nodes``, and ``level`` too if no level has one.
 
-        ``look_ahead`` is for one counted class whose labels ``used``
-        counts, as in the red-set rule: the counted placement that makes
-        ``used == level`` is the last, and it tests every field of
-        ``packed[0]`` for zero in place of ``finalize[w]`` (see the class
-        docstring).
+        A ``final`` placement tests every field of ``packed[0]`` for zero
+        in place of ``finalize[w]`` (see the class docstring), so a rule
+        marks it only when it counts one class: the red-set rule, on its
+        last red, after which no field changes.
         """
         n = self.n
         delta_of = self.delta_of
@@ -356,7 +358,7 @@ class _PairWatcher:
                 if option is None:
                     w -= 1
                     continue
-                c, used = option
+                c, used, final = option
                 for t in twin_prev[w]:
                     if assign[t] == c:
                         break
@@ -373,7 +375,7 @@ class _PairWatcher:
                     # class, and its guard bit is clear; subtracting the low
                     # bits sets a guard bit exactly when some field is zero
                     # (the lowest zero field's, whatever borrows above it)
-                    if look_ahead and c and used == level:
+                    if final:
                         if ((packed[0] ^ bias_all) - low_all) & high_all:
                             continue
                     elif finalize[w] is not None:
@@ -401,14 +403,14 @@ def _partition_labels(n: int, k: int, w: int, used: int):
     lo = used if used + n - w == k else 0
     hi = used if used < k else k - 1
     # tuple() of a list comprehension builds faster than of a generator
-    return tuple([(c, used + 1 if c == used else used) for c in range(lo, hi + 1)])
+    return tuple([(c, used + 1 if c == used else used, False) for c in range(lo, hi + 1)])
 
 
 def _red_set_labels(n: int, r: int, w: int, used: int):
     """Red sets of exactly ``r`` vertices, ``used`` red before vertex ``w``:
     red (1) before white (0), the sorted sets in lexicographic order."""
-    red = ((1, used + 1),) if used < r else ()
-    white = ((0, used),) if n - w - 1 >= r - used else ()
+    red = ((1, used + 1, used + 1 == r),) if used < r else ()
+    white = ((0, used, False),) if n - w - 1 >= r - used else ()
     return red + white
 
 
@@ -481,7 +483,7 @@ def id_number_exact(
     # red-only codes can collide even where sphere sizes differ: watch all pairs
     watcher = _PairWatcher(dm, tc, [0] * g.n)
     levels = ((r, 1) for r in range(1, g.n + 1))
-    r, labels, nodes, _ = watcher.search(_red_set_labels, levels, max_nodes, look_ahead=True)
+    r, labels, nodes, _ = watcher.search(_red_set_labels, levels, max_nodes)
     if nodes > max_nodes:
         raise BudgetExceededError(
             f"node budget {max_nodes} exhausted at red-set size {r}", nodes=nodes

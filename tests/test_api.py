@@ -1,3 +1,4 @@
+import copy
 import inspect
 import os
 import pickle
@@ -75,6 +76,12 @@ def test_search_limits_has_one_knob():
         params = inspect.signature(search).parameters
         assert list(params) == ["g", "max_nodes"]
         assert params["max_nodes"].default == idindex.solvers.DEFAULT_MAX_NODES
+
+
+def test_search_kernel_takes_no_rule_flag():
+    # a rule marks its own final placement; the kernel takes no flag about it
+    params = inspect.signature(idindex.solvers._PairWatcher.search).parameters
+    assert list(params) == ["self", "rule", "levels", "max_nodes"]
 
 
 def test_graph_has_no_test_only_helpers():
@@ -176,13 +183,32 @@ def test_pickled_family_graph_keeps_its_automorphisms(protocol):
     assert back.automorphisms == g.automorphisms != ()
 
 
-@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_family_spec_is_checked_when_unpickled(monkeypatch, protocol):
     data = pickle.dumps(idindex.FamilySpec("path", (50,)), protocol)
     assert pickle.loads(data) == idindex.FamilySpec("path", (50,))
     monkeypatch.setattr(idindex.graphs, "MAX_VERTICES", 10)
     with pytest.raises(idindex.graphs.GraphError, match="limit 10"):
         pickle.loads(data)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_partition_is_checked_when_unpickled(protocol):
+    # tuple.__new__ builds a partition without its checks, as a foreign
+    # pickle could; loading it must run them
+    bad = tuple.__new__(idindex.Partition, ((0, 5), 2))
+    with pytest.raises(ValueError, match="restricted-growth"):
+        pickle.loads(pickle.dumps(bad, protocol))
+    p = idindex.Partition((0, 1, 0), 2)
+    assert pickle.loads(pickle.dumps(p, protocol)) == p
+
+
+def test_checked_records_copy():
+    spec = idindex.FamilySpec("product", (idindex.FamilySpec("cycle", (5,)),) * 2)
+    p = idindex.Partition((0, 1, 0), 2)
+    for record in (spec, p):
+        for copied in (copy.copy(record), copy.deepcopy(record)):
+            assert type(copied) is type(record) and copied == record
 
 
 def test_no_validated_record_is_built_around_its_checks():

@@ -203,6 +203,7 @@ class TestCompute:
             ("petersen", "petersen"),
             ("path6", "path:6"),
             ("multipartite112", "multipartite:1,1,2"),
+            ("c5xc5", "product:(cycle:5)x(cycle:5)"),
         ],
     )
     def test_id_number_matches_golden(self, capsys, name, spec):
@@ -263,6 +264,18 @@ class TestCompute:
         )
         assert code == 0, err
         assert cli._parser().parse_args(["compute", "--seed", seed]).seed == int(seed)
+
+    def test_integer_flags_past_the_int_str_digit_limit(self, capsys):
+        # CPython refuses int/str conversions past 4,300 digits by default
+        limit = sys.get_int_max_str_digits()
+        huge = "1" + "0" * 4999
+        obj = run_json(capsys, "compute", "--family", "petersen", "--budget-nodes", huge)
+        assert (obj["k"], obj["nodes_searched"]) == (3, 84)
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "path:4", "--heuristic", "--seed", huge
+        )
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
 
     def test_deep_search_prints_no_traceback(self, capsys):
         # a search deeper than the interpreter's recursion limit
@@ -926,6 +939,21 @@ class TestSweep:
     def test_usage_errors(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    def test_unknown_kind_is_an_argparse_choice(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--family", "petersen")
+        assert (code, out) == (2, "")
+        assert "argument --family: invalid choice: 'petersen'" in err
+        _, help_text, _ = run_cli(capsys, "sweep", "--help")
+        assert "--family {path,cycle,complete,prism,grid}" in help_text
+
+    @pytest.mark.parametrize("kind", ["cycle", "grid"])
+    def test_range_past_the_int_str_digit_limit(self, capsys, kind):
+        # the range is walked lazily, so the vertex limit stops it
+        huge = "1" + "0" * 4999
+        code, out, err = run_cli(capsys, "sweep", "--family", kind, "--from", "3", "--to", huge)
+        assert (code, out) == (2, "")
+        assert err == "error: graph needs 2001 vertices, limit 2000\n"
 
     def test_family_and_random_conflict(self, capsys):
         code, out, err = run_cli(

@@ -290,17 +290,15 @@ class TestParseEdgeListFuzz:
 
 
 def _bfs_rows(g):
-    steps = list(range(g.n + 1))
-    return [graphs._bfs_row(g, v, steps) for v in range(g.n)]
+    return [graphs._bfs_row(g, v) for v in range(g.n)]
 
 
 def _shift(g):
     """The shift kernel on ``g``, with its root picked by the rows of 0 and
     a vertex farthest from it, as ``all_pairs_distances`` calls it."""
-    steps = list(range(g.n + 1))
-    first = graphs._bfs_row(g, 0, steps)
+    first = graphs._bfs_row(g, 0)
     far = first.index(max(first))
-    return graphs._shift_rows(g, steps, first, graphs._bfs_row(g, far, steps))
+    return graphs._shift_rows(g, list(range(g.n + 1)), first, graphs._bfs_row(g, far))
 
 
 def _shift_rows(g):
@@ -321,7 +319,7 @@ def _connected_gnp(n, p, rng):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     while True:
         g = build_graph(n, edges)
-        row = graphs._bfs_row(g, 0, list(range(n + 1)))
+        row = graphs._bfs_row(g, 0)
         if -1 not in row:
             return g
         reached = [v for v in range(n) if row[v] >= 0]
@@ -600,9 +598,7 @@ class TestKernelSelection:
         want = _bfs_rows(g)
         sources = []
         real = graphs._bfs_row
-        monkeypatch.setattr(
-            graphs, "_bfs_row", lambda g, v, steps: sources.append(v) or real(g, v, steps)
-        )
+        monkeypatch.setattr(graphs, "_bfs_row", lambda g, v: sources.append(v) or real(g, v))
         assert [list(row) for row in all_pairs_distances(g).dist] == want
         return sources
 
@@ -612,7 +608,7 @@ class TestKernelSelection:
         # farthest from it; the shift kernel's root, which minimises the
         # larger of the two distances, shifts from an all-unreached row
         g = generate(parse_family_spec(spec))[0]
-        first = graphs._bfs_row(g, 0, list(range(g.n + 1)))
+        first = graphs._bfs_row(g, 0)
         far = first.index(max(first))
         assert self._bfs_sources(monkeypatch, g) == [0, far]
 
@@ -652,7 +648,7 @@ class TestKernelSelection:
         # at its 49th
         g = generate(parse_family_spec(spec))[0]
         counted = graphs.Graph(g.n, _CountedAdj(g.adj))
-        assert graphs._bfs_row(counted, 0, list(range(g.n + 1))) == _bfs_rows(g)[0]
+        assert graphs._bfs_row(counted, 0) == _bfs_rows(g)[0]
         assert counted.adj.reads == reads
 
     @pytest.mark.parametrize("n", [301, 600])

@@ -312,7 +312,7 @@ class TestImpliedLastClass:
 
     @staticmethod
     def every_class_counted(n, k, w, used):
-        return tuple([(c + 1, u) for c, u in solvers._partition_labels(n, k, w, used)])
+        return tuple([(c + 1, u, f) for c, u, f in solvers._partition_labels(n, k, w, used)])
 
     def test_counting_k_minus_1_classes_walks_the_same_tree(self):
         graphs = [g for g in connected_corpus_up_to(5) if g.n > 1] + random_corpus(200)
@@ -425,7 +425,11 @@ class TestRedSetLookAhead:
     """Once the last red is placed no field changes, so the search tests
     every watched pair at once.  The look-ahead only prunes branches that
     would fail: it finds the same red set at the same size, in no more
-    nodes."""
+    nodes than the same rule with no placement marked ``final``."""
+
+    @staticmethod
+    def no_final(n, r, w, used):
+        return tuple([(c, u, False) for c, u, _ in solvers._red_set_labels(n, r, w, used)])
 
     def test_same_labels_in_no_more_nodes(self):
         rule, budget = solvers._red_set_labels, solvers.DEFAULT_MAX_NODES
@@ -434,13 +438,28 @@ class TestRedSetLookAhead:
             dm = all_pairs_distances(g)
             watcher = solvers._PairWatcher(dm, tuplet_classes(g), [0] * g.n)
             levels = [(r, 1) for r in range(1, g.n + 1)]
-            level, labels, nodes, _ = watcher.search(rule, levels, budget)
-            got_level, got, got_nodes, _ = watcher.search(rule, levels, budget, look_ahead=True)
+            level, labels, nodes, _ = watcher.search(self.no_final, levels, budget)
+            got_level, got, got_nodes, _ = watcher.search(rule, levels, budget)
             assert (got_level, got) == (level, labels)
             assert got_nodes <= nodes
             pruned += got_nodes < nodes
         # it saves nodes on 923 of the 972 graphs
         assert pruned == 923
+
+    def test_only_the_last_red_is_final(self):
+        # the kernel's whole-integer test reads packed[0] alone, so only
+        # the one-class red-set rule may mark a placement final
+        for n in range(1, 9):
+            for w in range(n):
+                for level in range(1, n + 1):
+                    # used labels before w that can still reach the level
+                    for used in range(max(0, level - (n - w)), min(w, level) + 1):
+                        options = solvers._red_set_labels(n, level, w, used)
+                        marked = [(c, u) for c, u, final in options if final]
+                        assert marked == ([(1, level)] if used + 1 == level else [])
+                        if w == 0 or used >= 1:
+                            for _, _, final in solvers._partition_labels(n, level, w, used):
+                                assert not final
 
 
 class TestFirstUsePacking:
@@ -498,7 +517,9 @@ class TestFirstUsePacking:
             offered = {v for v in range(g.n) if rng.random() < 0.5}
 
             def rule(n, level, w, used):
-                return ((1, used), (0, used)) if w in offered else ((0, used),)
+                if w in offered:
+                    return ((1, used, False), (0, used, False))
+                return ((0, used, False),)
 
             dm = all_pairs_distances(g)
             watcher = solvers._PairWatcher(dm, tuplet_classes(g), [0] * g.n)
